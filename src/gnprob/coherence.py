@@ -176,7 +176,8 @@ def _df_cell(entries, chosen, masks, coeffs) -> Optional[GainSpec]:
     constraints.append(([_ONE] * (2 * t) + [_ZERO], "<=", _ONE))
     objective = [_ZERO] * (2 * t) + [_ONE]
     result = solve_lp(objective, constraints)
-    assert result.status == "optimal"
+    if result.status != "optimal":
+        raise AssertionError("a gain LP is feasible and bounded")
     if result.objective <= 0:
         return None
     sol = result.solution
@@ -202,7 +203,8 @@ def _w_cell(entries, chosen, against, masks, coeffs) -> Optional[GainSpec]:
     constraints.append(([_ONE] * (t + 1) + [_ZERO], "<=", _ONE))
     objective = [_ZERO] * (t + 1) + [_ONE]
     result = solve_lp(objective, constraints)
-    assert result.status == "optimal"
+    if result.status != "optimal":
+        raise AssertionError("a gain LP is feasible and bounded")
     if result.objective <= 0:
         return None
     sol = result.solution
@@ -229,7 +231,8 @@ def _convex_cell(entries, chosen, against, masks, coeffs) -> Optional[GainSpec]:
     constraints.append(([_ONE] * t + [_ZERO], "==", _ONE))
     objective = [_ZERO] * t + [_ONE]
     result = solve_lp(objective, constraints)
-    assert result.status == "optimal"
+    if result.status != "optimal":
+        raise AssertionError("a gain LP is feasible and bounded")
     if result.objective <= 0:
         return None
     sol = result.solution
@@ -359,7 +362,8 @@ def check_avoiding_sure_loss(assessment: Assessment) -> Verdict:
         constraints.append(([_ONE] * len(chosen) + [_ZERO], "<=", _ONE))
         objective = [_ZERO] * len(chosen) + [_ONE]
         result = solve_lp(objective, constraints)
-        assert result.status == "optimal"
+        if result.status != "optimal":
+            raise AssertionError("a gain LP is feasible and bounded")
         if result.objective > 0:
             sol = result.solution
             terms = tuple(

@@ -275,7 +275,8 @@ def finite_values_lower_bound(
             weight = _ONE
         else:
             inner = conditional_inner(level, p)
-            assert inner is not None
+            if inner is None:
+                raise AssertionError("a nontrivial conditional event has a nonempty inner conditioning")
             weight = mu.lower(inner)
         bound += value * weight
     rhs = truth(ConditionalGamble(x, b)) if truth is not None else None

@@ -2,25 +2,37 @@
 
 A small dense two-phase simplex with Bland's rule, meant for the tiny
 feasibility programs produced by the coherence checker (tens of
-variables and rows). Every pivot is carried out in Fraction arithmetic,
-so optima are decided exactly and the strict sign tests downstream need
-no tolerances. Bland's rule (lowest eligible index for both the entering
-and the leaving variable) rules out cycling.
+variables and rows). Bland's rule (lowest eligible index for both the
+entering and the leaving variable) rules out cycling.
+
+The tableau is fraction-free, in the integer-preserving style of Edmonds
+(1967) and Bareiss, "Sylvester's identity and multistep integer-preserving
+Gaussian elimination" (Math. Comp. 22, 1968). Each constraint row is
+scaled to integers, and every entry is held as an integer numerator over
+one positive common denominator D. A pivot is integer multiplies plus one
+exact division by the previous D, with no gcd per entry; ratios and reduced
+costs are compared by their integer numerators. Optima are therefore
+decided exactly and the strict sign tests downstream need no tolerances.
+Scaling a row rescales only its slack and artificial variables, never a
+structural one, and the phase-1 costs are reweighted to match, so the
+pivots are those of the same simplex run in Fraction arithmetic.
 
 Variables are implicitly nonnegative. Constraints are triples
 ``(coefficients, relation, rhs)`` with relation one of "<=", ">=", "==".
+Numbers are ints, Fractions or ``'p/q'`` strings; floats are refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
+from .algebra import as_fraction
 from .errors import ValidationError
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 Constraint = tuple[Sequence, str, object]
 
@@ -32,88 +44,111 @@ class LpResult:
     solution: Optional[tuple[Fraction, ...]]
 
 
+def _integer_row(values) -> tuple[list[int], int]:
+    """The values times the positive lcm of their denominators, and that
+    lcm. Ints and Fractions pass as they are; anything else goes through
+    ``as_fraction``, which refuses floats."""
+    ratios = [
+        (v if isinstance(v, (int, Fraction)) else as_fraction(v)).as_integer_ratio()
+        for v in values
+    ]
+    scale = lcm(*[d for _, d in ratios])
+    return [num * (scale // d) for num, d in ratios], scale
+
+
 class _Tableau:
+    """Row r holds D times the row of the normalized (Fraction) tableau,
+    so every basic column reads D in its own row and 0 elsewhere, and the
+    basic variable of row r has the value rows[r][-1] / D."""
+
     def __init__(self, rows, basis, ncols):
-        self.rows = rows            # list of lists, last entry is the rhs
+        self.rows = rows            # list of int lists, last entry is the rhs
         self.basis = basis          # basic variable of each row
         self.ncols = ncols          # number of variable columns
+        self.d = 1                  # common denominator, kept positive
 
     def pivot(self, row: int, col: int) -> None:
-        piv = self.rows[row][col]
-        self.rows[row] = [v / piv for v in self.rows[row]]
-        for r in range(len(self.rows)):
-            if r != row and self.rows[r][col] != 0:
-                factor = self.rows[r][col]
-                self.rows[r] = [
-                    a - factor * b for a, b in zip(self.rows[r], self.rows[row])
-                ]
+        rows = self.rows
+        prow = rows[row]
+        p = prow[col]
+        d = self.d
+        for r, line in enumerate(rows):
+            if r != row:
+                factor = line[col]
+                if factor:
+                    rows[r] = [(a * p - factor * b) // d for a, b in zip(line, prow)]
+                elif p != d:
+                    rows[r] = [a * p // d for a in line]
+        if p < 0:
+            self.rows = [[-a for a in line] for line in rows]
+            p = -p
+        self.d = p
         self.basis[row] = col
 
-    def run(self, cost: list[Fraction], banned: set[int]) -> str:
+    def run(self, cost: list[int], banned: set[int]) -> str:
         """Maximize cost'x from the current basis. Returns "optimal" or
-        "unbounded". ``cost`` has one entry per column and is first
-        reduced against the current basis."""
-        # Reduced cost row: z[j] = cost[j] - cost_B . column_j
-        z = list(cost) + [_ZERO]
-        for r, b in enumerate(self.basis):
+        "unbounded". ``cost`` has one integer entry per column and is
+        first reduced against the current basis."""
+        # z[j] = D * (cost[j] - cost_B . column_j), so only its sign is read.
+        d = self.d
+        z = [d * c for c in cost] + [0]
+        for line, b in zip(self.rows, self.basis):
             cb = cost[b]
-            if cb != 0:
-                z = [a - cb * v for a, v in zip(z, self.rows[r])]
+            if cb:
+                z = [a - cb * v for a, v in zip(z, line)]
         while True:
             enter = -1
             for j in range(self.ncols):
-                if j not in banned and z[j] > 0:
+                if z[j] > 0 and j not in banned:
                     enter = j
                     break
             if enter < 0:
                 return "optimal"
             leave = -1
-            best: Optional[Fraction] = None
-            for r in range(len(self.rows)):
-                a = self.rows[r][enter]
-                if a > 0:
-                    ratio = self.rows[r][-1] / a
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and self.basis[r] < self.basis[leave])
-                    ):
-                        best = ratio
-                        leave = r
+            for r, line in enumerate(self.rows):
+                a = line[enter]
+                # ratio line[-1] / a against the best num / den so far,
+                # cross-multiplied: both denominators are positive
+                if a > 0 and (
+                    leave < 0
+                    or line[-1] * den < num * a
+                    or (line[-1] * den == num * a and self.basis[r] < self.basis[leave])
+                ):
+                    leave, num, den = r, line[-1], a
             if leave < 0:
                 return "unbounded"
+            d = self.d
+            prow = self.rows[leave]
+            p = prow[enter]
             self.pivot(leave, enter)
             factor = z[enter]
-            if factor != 0:
-                z = [a - factor * b for a, b in zip(z, self.rows[leave])]
+            z = [(a * p - factor * b) // d for a, b in zip(z, prow)]
 
 
 def solve_lp(
     objective: Sequence, constraints: Sequence[Constraint], *, maximize: bool = True
 ) -> LpResult:
     """Solve max (or min) objective'x subject to the constraints, x >= 0."""
-    cost = [Fraction(v) for v in objective]
+    cost, cost_scale = _integer_row(objective)
     if not maximize:
         cost = [-v for v in cost]
     n = len(cost)
 
     rows = []
+    scales = []
     rels = []
-    rhs = []
     for coeffs, rel, b in constraints:
-        line = [Fraction(v) for v in coeffs]
-        if len(line) != n:
-            raise ValidationError(f"constraint width {len(line)} != {n} variables")
+        row, scale = _integer_row([*coeffs, b])
+        if len(row) != n + 1:
+            raise ValidationError(f"constraint width {len(row) - 1} != {n} variables")
         if rel not in ("<=", ">=", "=="):
             raise ValidationError(f"unknown relation {rel!r}")
-        b = Fraction(b)
-        if b < 0:
-            line = [-v for v in line]
-            b = -b
+        if row[-1] < 0:
+            row = [-v for v in row]
             rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        rows.append(line)
+        rows.append(row)
+        scales.append(scale)
         rels.append(rel)
-        rhs.append(b)
     m = len(rows)
 
     # Column layout: structural | slack/surplus | artificial.
@@ -132,19 +167,16 @@ def solve_lp(
     table = []
     basis = []
     for i in range(m):
-        line = [_ZERO] * (ncols + 1)
-        for j, v in enumerate(rows[i]):
-            line[j] = v
-        line[-1] = rhs[i]
+        line = rows[i][:n] + [0] * (ncols - n) + rows[i][n:]
         if rels[i] == "<=":
-            line[slack_col[i]] = _ONE
+            line[slack_col[i]] = 1
             basis.append(slack_col[i])
         elif rels[i] == ">=":
-            line[slack_col[i]] = -_ONE
-            line[art_col[i]] = _ONE
+            line[slack_col[i]] = -1
+            line[art_col[i]] = 1
             basis.append(art_col[i])
         else:
-            line[art_col[i]] = _ONE
+            line[art_col[i]] = 1
             basis.append(art_col[i])
         table.append(line)
 
@@ -152,16 +184,17 @@ def solve_lp(
     artificials = set(art_col.values())
 
     if artificials:
-        phase1 = [_ZERO] * ncols
-        for j in artificials:
-            phase1[j] = -_ONE
+        # Row i was scaled by the lcm s_i of its denominators, which scales
+        # its artificial by s_i too; the phase-1 cost -1 of the unscaled
+        # artificial becomes -1/s_i, here times the positive lcm of the s_i.
+        top = lcm(*(scales[i] for i in art_col))
+        phase1 = [0] * ncols
+        for i, j in art_col.items():
+            phase1[j] = -(top // scales[i])
         status = tab.run(phase1, banned=set())
-        assert status == "optimal", "phase 1 is always bounded"
-        infeasibility = sum(
-            (tab.rows[r][-1] for r in range(m) if tab.basis[r] in artificials),
-            _ZERO,
-        )
-        if infeasibility > 0:
+        if status != "optimal":
+            raise AssertionError("phase 1 is always bounded")
+        if any(tab.rows[r][-1] > 0 for r in range(m) if tab.basis[r] in artificials):
             return LpResult("infeasible", None, None)
         # Pivot leftover artificials out of the basis where possible;
         # a row with no eligible pivot is redundant and can be ignored
@@ -173,15 +206,17 @@ def solve_lp(
                         tab.pivot(r, j)
                         break
 
-    status = tab.run(cost + [_ZERO] * (ncols - n), banned=artificials)
+    status = tab.run(cost + [0] * (ncols - n), banned=artificials)
     if status == "unbounded":
         return LpResult("unbounded", None, None)
 
     solution = [_ZERO] * n
-    for r, b in enumerate(tab.basis):
+    total = 0
+    for line, b in zip(tab.rows, tab.basis):
         if b < n:
-            solution[b] = tab.rows[r][-1]
-    value = sum((c * x for c, x in zip(cost, solution)), _ZERO)
+            solution[b] = Fraction(line[-1], tab.d)
+            total += cost[b] * line[-1]
+    value = Fraction(total, cost_scale * tab.d)
     if not maximize:
         value = -value
     return LpResult("optimal", value, tuple(solution))

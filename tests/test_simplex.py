@@ -1,4 +1,5 @@
-"""Exact simplex solver, cross-checked against brute-force vertex enumeration."""
+"""Exact simplex solver, cross-checked against brute-force vertex
+enumeration and against the Fraction-arithmetic simplex it replaced."""
 
 import itertools
 import random
@@ -6,8 +7,19 @@ from fractions import Fraction
 
 import pytest
 
-from gnprob import ValidationError
+import gnprob.coherence
+import gnprob.simplex
+from gnprob import (
+    Assessment,
+    ValidationError,
+    check,
+    check_avoiding_sure_loss,
+    random_credal,
+    random_layered,
+)
 from gnprob.simplex import solve_lp
+from conftest import make_universe, random_conditional_gamble
+from simplex_oracle import oracle_solve_lp
 
 
 class TestHandInstances:
@@ -60,6 +72,65 @@ class TestHandInstances:
             solve_lp([1, 2], [([1], "<=", 1)])
         with pytest.raises(ValidationError):
             solve_lp([1], [([1], "<", 1)])
+
+    def test_numbers_coerced_like_as_fraction(self):
+        with pytest.raises(ValidationError, match="floats are not exact"):
+            solve_lp([0.1], [([1], "<=", 1)])
+        with pytest.raises(ValidationError, match="floats are not exact"):
+            solve_lp([1], [([0.5], "<=", 1)])
+        with pytest.raises(ValidationError, match="floats are not exact"):
+            solve_lp([1], [([1], "<=", 1.0)])
+        with pytest.raises(ValidationError, match="not a rational"):
+            solve_lp([1], [([1], "<=", "one")])
+        result = solve_lp(["1/2"], [(["1/3"], "<=", "1/4")])
+        assert result.objective == Fraction(3, 8)
+        assert result.solution == (Fraction(3, 4),)
+
+
+class TestPinnedPivots:
+    """LPs where the integer kernel's bookkeeping decides the answer."""
+
+    def test_phase_one_weights_follow_row_scaling(self):
+        # Rows are scaled by the lcm of their denominators, and so are
+        # their artificials. With unit phase-1 weights on the scaled
+        # artificials, phase 1 ends at another basis, and phase 2 returns
+        # the equally optimal vertex (27/7, 9/7, 5/2).
+        box = [([1 if j == i else 0 for j in range(3)], "<=", 10) for i in range(3)]
+        constraints = [
+            ([Fraction(1, 3), Fraction(2, 5), Fraction(3, 4)], ">=", Fraction(-2, 3)),
+            ([0, 0, Fraction(2, 5)], "==", 1),
+            ([Fraction(-2, 3), Fraction(-1, 3), 1], ">=", Fraction(-1, 2)),
+            ([2, Fraction(1, 2), 1], ">=", Fraction(3, 4)),
+            ([0, Fraction(-1, 3), Fraction(-3, 7)], "==", Fraction(-3, 2)),
+        ] + box
+        result = solve_lp([0, Fraction(1, 2), -3], constraints)
+        assert result.status == "optimal"
+        assert result.objective == Fraction(-48, 7)
+        assert result.solution == (Fraction(0), Fraction(9, 7), Fraction(5, 2))
+
+    def test_redundant_equality_pivots_out_on_negative_entry(self, monkeypatch):
+        # The second row is the first one times 3 (as a >= row). Phase 1
+        # leaves its artificial basic at zero, and pivoting it out uses the
+        # surplus column, whose entry is negative there; the common
+        # denominator must come back positive.
+        pivots = []
+        pivot = gnprob.simplex._Tableau.pivot
+
+        def recording_pivot(tab, row, col):
+            pivots.append(tab.rows[row][col])
+            pivot(tab, row, col)
+            assert tab.d > 0
+
+        monkeypatch.setattr(gnprob.simplex._Tableau, "pivot", recording_pivot)
+        constraints = [
+            ([Fraction(1, 2), Fraction(1, 3)], "==", Fraction(1, 6)),
+            ([Fraction(3, 2), 1], ">=", Fraction(1, 2)),
+        ]
+        result = solve_lp([0, 1], constraints)
+        assert any(p < 0 for p in pivots)
+        assert result == oracle_solve_lp([0, 1], constraints)
+        assert result.objective == Fraction(1, 2)
+        assert result.solution == (Fraction(0), Fraction(1, 2))
 
 
 def brute_force_max(objective, constraints, nvars):
@@ -150,3 +221,71 @@ class TestAgainstVertexEnumeration:
                 assert all(x >= 0 for x in result.solution)
                 checked += 1
         assert checked > 40
+
+
+def random_fractional_lp(rng):
+    """Fractional coefficients, rhs of either sign, all three relations;
+    a box on every variable for most of them, so every status occurs."""
+    nvars = rng.randint(1, 5)
+
+    def q():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 7))
+
+    objective = [q() for _ in range(nvars)]
+    constraints = [
+        ([q() for _ in range(nvars)], rng.choice(["<=", ">=", "=="]), q())
+        for _ in range(rng.randint(1, 6))
+    ]
+    if rng.random() < 0.7:
+        for i in range(nvars):
+            constraints.append(([1 if j == i else 0 for j in range(nvars)], "<=", 10))
+    return objective, constraints, rng.random() < 0.5
+
+
+class TestAgainstFractionOracle:
+    """The integer kernel takes the same Bland's-rule pivots as the
+    Fraction simplex, so whole results agree: status, objective and the
+    optimal vertex itself, not only the optimum."""
+
+    def test_random_lps(self):
+        rng = random.Random(2024)
+        statuses = {}
+        for _ in range(1500):
+            objective, constraints, maximize = random_fractional_lp(rng)
+            result = solve_lp(objective, constraints, maximize=maximize)
+            assert result == oracle_solve_lp(objective, constraints, maximize=maximize), (
+                objective, constraints, maximize,
+            )
+            statuses[result.status] = statuses.get(result.status, 0) + 1
+        assert set(statuses) == {"optimal", "unbounded", "infeasible"}
+        assert min(statuses.values()) > 50
+
+    def test_coherence_lps(self, monkeypatch):
+        solved = []
+
+        def compared(objective, constraints, **kwargs):
+            result = solve_lp(objective, constraints, **kwargs)
+            assert result == oracle_solve_lp(objective, constraints, **kwargs)
+            solved.append(result.objective > 0)
+            return result
+
+        monkeypatch.setattr(gnprob.coherence, "solve_lp", compared)
+        rng = random.Random(77)
+        for seed in range(16):
+            u = make_universe(rng.randint(2, 5))
+            gambles = [random_conditional_gamble(rng, u) for _ in range(rng.randint(2, 3))]
+            gambles = list(dict.fromkeys(gambles))
+            precise = random_layered(seed, u)
+            lower = random_credal(seed, u, 2)
+            shift = Fraction(rng.randint(-2, 2), rng.randint(2, 9))
+            for value in (precise.value, lambda g: precise.value(g) + shift):
+                entries = tuple((g, value(g)) for g in gambles)
+                check(Assessment(entries, kind="precise"), "dF")
+            for value in (lower.lower, lambda g: lower.lower(g) + shift):
+                entries = tuple((g, value(g)) for g in gambles)
+                assessment = Assessment(entries, kind="lower")
+                check(assessment, "W")
+                check(assessment, "convex")
+                check_avoiding_sure_loss(assessment)
+        assert len(solved) > 1000
+        assert any(solved) and not all(solved)
