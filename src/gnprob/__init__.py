@@ -19,7 +19,6 @@ from .algebra import (
     inf_over,
     inner_event,
     is_logically_dependent,
-    iter_measurable_events,
     outer_event,
     product_partition,
     sup_over,
@@ -58,9 +57,6 @@ from .extension import (
     conditional_outer,
     df_to_imprecise,
     extension_interval,
-    gn_lower_set,
-    gn_upper_set,
-    iter_conditional_domain,
     natural_extension,
     upper_extension,
 )

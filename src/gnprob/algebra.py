@@ -446,18 +446,6 @@ def is_logically_dependent(e: Event, p: Partition) -> bool:
     return inner_event(e, p) == e
 
 
-def iter_measurable_events(p: Partition, include_empty: bool = False) -> Iterator[Event]:
-    """All unions of blocks of ``p``, the field generated by the partition."""
-    masks = [b.mask for b in p.blocks]
-    start = 0 if include_empty else 1
-    for choice in range(start, 1 << len(masks)):
-        m = 0
-        for i, bm in enumerate(masks):
-            if (choice >> i) & 1:
-                m |= bm
-        yield Event(p.universe, m)
-
-
 # ---------------------------------------------------------------------------
 # Gamble extrema
 

@@ -14,8 +14,7 @@ A problem file is a single JSON document; rationals are strings like
         "book": {"kind": "lower", "class": "W", "entries": [
           {"event": "A", "given": "B", "value": "1/2"}
         ]}
-      },
-      "queries": []
+      }
     }
 
 Gamble value maps default missing worlds to 0. Credal members are
@@ -86,7 +85,6 @@ class Problem:
     layered: dict = field(default_factory=dict)
     credal: dict = field(default_factory=dict)
     assessments: dict = field(default_factory=dict)
-    queries: list = field(default_factory=list)
 
     # -- construction -----------------------------------------------------
 
@@ -98,22 +96,30 @@ class Problem:
             worlds = data["universe"]
         except KeyError:
             raise ValidationError("problem file: missing 'universe'") from None
+        if not isinstance(worlds, list) or not all(isinstance(w, str) for w in worlds):
+            raise ValidationError("universe: must be a list of world names")
         universe = Universe(tuple(worlds))
         problem = cls(universe)
 
-        for name, spec in data.get("events", {}).items():
+        def section(key: str) -> dict:
+            spec = data.get(key, {})
+            if not isinstance(spec, dict):
+                raise ValidationError(f"{key}: must be an object")
+            return spec
+
+        for name, spec in section("events").items():
             problem.events[name] = problem._event_from_spec(spec, f"events.{name}")
-        for name, spec in data.get("partitions", {}).items():
+        for name, spec in section("partitions").items():
             try:
                 blocks = tuple(universe.event(block) for block in spec)
                 problem.partitions[name] = Partition(universe, blocks)
             except GnprobError as exc:
                 raise ValidationError(f"partitions.{name}: {exc}") from None
-        for name, spec in data.get("gambles", {}).items():
+        for name, spec in section("gambles").items():
             problem.gambles[name] = problem._gamble_from_spec(spec, f"gambles.{name}")
-        for name, spec in data.get("layered", {}).items():
+        for name, spec in section("layered").items():
             problem.layered[name] = problem._layered_from_spec(spec, f"layered.{name}")
-        for name, spec in data.get("credal", {}).items():
+        for name, spec in section("credal").items():
             members = []
             for i, member in enumerate(spec):
                 where = f"credal.{name}[{i}]"
@@ -127,11 +133,10 @@ class Problem:
                 problem.credal[name] = CredalSet(members)
             except GnprobError as exc:
                 raise ValidationError(f"credal.{name}: {exc}") from None
-        for name, spec in data.get("assessments", {}).items():
+        for name, spec in section("assessments").items():
             problem.assessments[name] = problem._assessment_from_spec(
                 spec, f"assessments.{name}"
             )
-        problem.queries = list(data.get("queries", []))
         return problem
 
     def _event_from_spec(self, spec, where: str) -> Event:
@@ -162,11 +167,18 @@ class Problem:
             raise ValidationError(f"{where}: each layer must be a world-to-mass object") from None
 
     def _assessment_from_spec(self, spec, where: str) -> Assessment:
+        if not isinstance(spec, dict):
+            raise ValidationError(f"{where}: must be an object")
         kind = spec.get("kind", "precise")
         consistency = spec.get("class")
+        entry_specs = spec.get("entries", [])
+        if not isinstance(entry_specs, list):
+            raise ValidationError(f"{where}.entries: must be a list")
         entries = []
-        for i, entry in enumerate(spec.get("entries", [])):
+        for i, entry in enumerate(entry_specs):
             at = f"{where}.entries[{i}]"
+            if not isinstance(entry, dict):
+                raise ValidationError(f"{at}: must be an object")
             given = self.universe.omega
             if "given" in entry:
                 given = self._event_from_spec(entry["given"], at)
@@ -241,18 +253,6 @@ class Problem:
         def event_spec(e: Event):
             return list(e.worlds())
 
-        def layered_spec(lp: LayeredProbability):
-            out = []
-            for depth in range(len(lp.layers)):
-                out.append(
-                    {
-                        w: str(lp.layers[depth][i])
-                        for i, w in enumerate(self.universe.worlds)
-                        if lp.layers[depth][i] != 0
-                    }
-                )
-            return out
-
         def assessment_spec(a: Assessment):
             entries = []
             for gamble, value in a.entries:
@@ -281,13 +281,18 @@ class Problem:
                 n: {w: str(g.values[i]) for i, w in enumerate(self.universe.worlds)}
                 for n, g in self.gambles.items()
             },
-            "layered": {n: layered_spec(lp) for n, lp in self.layered.items()},
-            "credal": {
-                n: [layered_spec(m) for m in c.members] for n, c in self.credal.items()
-            },
+            "layered": {n: _layered_spec(lp) for n, lp in self.layered.items()},
+            "credal": {n: [_layered_spec(m) for m in c.members] for n, c in self.credal.items()},
             "assessments": {n: assessment_spec(a) for n, a in self.assessments.items()},
-            "queries": list(self.queries),
         }
+
+
+def _layered_spec(lp: LayeredProbability) -> list[dict]:
+    """A layered probability as its list of world-to-mass objects, zero masses left out."""
+    worlds = lp.universe.worlds
+    return [
+        {w: str(layer[i]) for i, w in enumerate(worlds) if layer[i] != 0} for layer in lp.layers
+    ]
 
 
 def load_problem(path: str) -> Problem:
@@ -578,19 +583,7 @@ def cmd_sample(args) -> int:
     credal = random_credal(args.seed, universe, args.members, args.layers)
     fragment = {
         "universe": list(universe.worlds),
-        "credal": {
-            "sampled": [
-                [
-                    {
-                        w: str(member.layers[depth][i])
-                        for i, w in enumerate(universe.worlds)
-                        if member.layers[depth][i] != 0
-                    }
-                    for depth in range(len(member.layers))
-                ]
-                for member in credal.members
-            ]
-        },
+        "credal": {"sampled": [_layered_spec(member) for member in credal.members]},
     }
     print(json.dumps(fragment, indent=2, sort_keys=True))
     return EXIT_OK

@@ -9,18 +9,24 @@ Four classes are decided exactly:
 * ``1convex`` the convex condition restricted to single bet-against-bet
               gains with unit stakes.
 
+:func:`check_avoiding_sure_loss` decides the weaker no-sure-loss
+condition, whose gains have nonnegative stakes and no bet against.
+
 An assessment is inconsistent for a class exactly when some gain built
 from its entries under the class stake pattern is strictly negative
 everywhere on the union of the conditioning events involved. Because
 that union depends on which entries take part, the checker enumerates
 every nonempty subfamily of entries (and, for the classes with a bet
 against, every choice of the entry bet against) and solves one small
-exact-rational LP per cell: maximize the margin by which the gain stays
-below zero on the subfamily's conditioning union, with stakes normalized
-to bounded scale. A strictly positive optimum yields a witness gain,
-re-checked by direct evaluation before it is returned. Gains are
-positively homogeneous in the stakes, so the normalization loses no
-violations.
+exact-rational LP per cell. Every cell is the same LP: maximize a margin
+eps subject to sum_j x_j c_j(w) + eps <= r(w) at each world w of the
+subfamily's conditioning union, with x >= 0 and sum_j x_j at most (or,
+for ``convex``, exactly) 1. The classes differ only in their stake
+columns c_j, their right-hand side r and that normalisation; the
+``1convex`` search needs no LP. A strictly positive optimum yields a
+witness gain, re-checked by direct evaluation before it is returned.
+Gains are positively homogeneous in the stakes, so the normalization
+loses no violations.
 
 Entries listed more than once in a gain collapse by summing stakes,
 which leaves the gain unchanged; assessments therefore store each
@@ -81,15 +87,6 @@ class GainSpec:
         for term in self.terms:
             mask |= term.gamble.conditioning.mask
         return Event(self.universe, mask)
-
-    def scaled(self, factor) -> GainSpec:
-        factor = Fraction(factor)
-        if factor <= 0:
-            raise ValidationError("scale factor must be positive")
-        return GainSpec(
-            tuple(GainTerm(t.stake * factor, t.gamble, t.value) for t in self.terms),
-            self.against,
-        )
 
 
 def evaluate_gain(spec: GainSpec, world) -> Fraction:
@@ -160,85 +157,65 @@ def _world_indices(mask: int, n: int):
     return [i for i in range(n) if (mask >> i) & 1]
 
 
-def _df_cell(entries, chosen, masks, coeffs) -> Optional[GainSpec]:
-    """Free-signed stakes on the chosen entries; stakes split into
-    nonnegative parts with total scale at most 1."""
-    t = len(chosen)
-    nvars = 2 * t + 1  # u_i, v_i, eps
-    union = 0
-    for k in chosen:
-        union |= masks[k]
-    constraints = []
-    n = entries[0][0].universe.size
-    for w in _world_indices(union, n):
-        row = [coeffs[k][w] for k in chosen] + [-coeffs[k][w] for k in chosen] + [_ONE]
-        constraints.append((row, "<=", _ZERO))
-    constraints.append(([_ONE] * (2 * t) + [_ZERO], "<=", _ONE))
-    objective = [_ZERO] * (2 * t) + [_ONE]
-    result = solve_lp(objective, constraints)
+def _gain_lp(columns, rhs, rel, worlds) -> Optional[tuple]:
+    """Stakes x >= 0 maximizing eps subject to sum_j x_j columns[j][w] +
+    eps <= rhs[w] at the given worlds and to sum_j x_j ``rel`` 1; None
+    unless the optimal eps is strictly positive."""
+    constraints = [([col[w] for col in columns] + [_ONE], "<=", rhs[w]) for w in worlds]
+    constraints.append(([_ONE] * len(columns) + [_ZERO], rel, _ONE))
+    result = solve_lp([_ZERO] * len(columns) + [_ONE], constraints)
     if result.status != "optimal":
         raise AssertionError("a gain LP is feasible and bounded")
-    if result.objective <= 0:
-        return None
-    sol = result.solution
-    terms = tuple(
-        GainTerm(sol[j] - sol[t + j], entries[k][0], entries[k][1])
-        for j, k in enumerate(chosen)
-    )
-    return GainSpec(terms, against=None)
+    return result.solution[:-1] if result.objective > 0 else None
 
 
-def _w_cell(entries, chosen, against, masks, coeffs) -> Optional[GainSpec]:
-    """Nonnegative stakes in favour of every chosen entry plus one stake
-    against the designated entry, total scale at most 1."""
-    t = len(chosen)
-    union = 0
-    for k in chosen:
-        union |= masks[k]
-    constraints = []
+def _cell(cls, chosen, against, coeffs, negated, zero):
+    """Stake columns, right-hand side and normalisation of one cell:
+    free-signed stakes split as +c and -c for dF, a stake against the
+    designated entry for W, stakes in favour summing to a unit stake
+    against for convex, stakes in favour only for asl."""
+    favour = [coeffs[k] for k in chosen]
+    if cls == "dF":
+        return favour + [negated[k] for k in chosen], zero, "<="
+    if cls == "W":
+        return favour + [negated[against]], zero, "<="
+    if cls == "convex":
+        return favour, coeffs[against], "=="
+    return favour, zero, "<="
+
+
+def _stakes(cls, x, t):
+    """The LP's stakes as (stakes in favour of the chosen entries, stake against)."""
+    if cls == "dF":
+        return [u - v for u, v in zip(x[:t], x[t:])], _ZERO
+    if cls == "W":
+        return x[:t], x[t]
+    return x, (_ONE if cls == "convex" else _ZERO)
+
+
+def _grid_search(entries, cls) -> Optional[GainSpec]:
+    """The first violating gain over (subfamily, entry bet against) cells."""
+    masks, coeffs = _entry_data(entries)
+    negated = [[-v for v in c] for c in coeffs]
     n = entries[0][0].universe.size
-    for w in _world_indices(union, n):
-        row = [coeffs[k][w] for k in chosen] + [-coeffs[against][w], _ONE]
-        constraints.append((row, "<=", _ZERO))
-    constraints.append(([_ONE] * (t + 1) + [_ZERO], "<=", _ONE))
-    objective = [_ZERO] * (t + 1) + [_ONE]
-    result = solve_lp(objective, constraints)
-    if result.status != "optimal":
-        raise AssertionError("a gain LP is feasible and bounded")
-    if result.objective <= 0:
-        return None
-    sol = result.solution
-    favour = [GainTerm(sol[j], entries[k][0], entries[k][1]) for j, k in enumerate(chosen)]
-    sigma = sol[t]
-    if sigma > 0:
-        terms = tuple(favour) + (GainTerm(sigma, entries[against][0], entries[against][1]),)
-        return GainSpec(terms, against=len(favour))
-    return GainSpec(tuple(favour), against=None)
-
-
-def _convex_cell(entries, chosen, against, masks, coeffs) -> Optional[GainSpec]:
-    """Stakes in favour summing to 1 against a unit stake on the
-    designated entry."""
-    t = len(chosen)
-    union = 0
-    for k in chosen:
-        union |= masks[k]
-    constraints = []
-    n = entries[0][0].universe.size
-    for w in _world_indices(union, n):
-        row = [coeffs[k][w] for k in chosen] + [_ONE]
-        constraints.append((row, "<=", coeffs[against][w]))
-    constraints.append(([_ONE] * t + [_ZERO], "==", _ONE))
-    objective = [_ZERO] * t + [_ONE]
-    result = solve_lp(objective, constraints)
-    if result.status != "optimal":
-        raise AssertionError("a gain LP is feasible and bounded")
-    if result.objective <= 0:
-        return None
-    sol = result.solution
-    favour = [GainTerm(sol[j], entries[k][0], entries[k][1]) for j, k in enumerate(chosen)]
-    terms = tuple(favour) + (GainTerm(_ONE, entries[against][0], entries[against][1]),)
-    return GainSpec(terms, against=len(favour))
+    zero = [_ZERO] * n
+    m = len(entries)
+    for subset in range(1, 1 << m):
+        chosen = [k for k in range(m) if (subset >> k) & 1]
+        union = 0
+        for k in chosen:
+            union |= masks[k]
+        worlds = _world_indices(union, n)
+        for against in chosen if cls in ("W", "convex") else (None,):
+            x = _gain_lp(*_cell(cls, chosen, against, coeffs, negated, zero), worlds)
+            if x is None:
+                continue
+            favour, sigma = _stakes(cls, x, len(chosen))
+            terms = tuple(GainTerm(s, *entries[k]) for s, k in zip(favour, chosen))
+            if sigma > 0:
+                return GainSpec(terms + (GainTerm(sigma, *entries[against]),), against=len(terms))
+            return GainSpec(terms)
+    return None
 
 
 def _one_convex_search(entries) -> Optional[GainSpec]:
@@ -281,17 +258,10 @@ def _with_centering(entries):
     return entries + [(z, _ZERO) for z in added], tuple(added)
 
 
-def check(assessment: Assessment, consistency: Optional[str] = None) -> Verdict:
-    """Decide consistency of an assessment for the given class.
-
-    Upper assessments are conjugated first, so a single lower-prevision
-    gain form covers everything. The witness, when present, is the first
-    violating gain in a fixed enumeration order of (subfamily, entry bet
-    against) cells, with its conditioned maximum strictly negative.
-    """
-    cls = normalize_class(consistency or assessment.consistency or "W")
+def _decide(assessment: Assessment, cls: str) -> Verdict:
+    """Conjugate, cap, center, search and re-check the witness."""
     if assessment.kind == "upper":
-        return check(conjugate(assessment), cls)
+        assessment = conjugate(assessment)
     entries = list(assessment.entries)
     if not entries:
         return Verdict(True)
@@ -315,66 +285,22 @@ def check(assessment: Assessment, consistency: Optional[str] = None) -> Verdict:
     return Verdict(False, witness, centering)
 
 
-def _grid_search(entries, cls) -> Optional[GainSpec]:
-    masks, coeffs = _entry_data(entries)
-    m = len(entries)
-    for subset in range(1, 1 << m):
-        chosen = [k for k in range(m) if (subset >> k) & 1]
-        if cls == "dF":
-            witness = _df_cell(entries, chosen, masks, coeffs)
-            if witness is not None:
-                return witness
-        else:
-            for against in chosen:
-                if cls == "W":
-                    witness = _w_cell(entries, chosen, against, masks, coeffs)
-                else:
-                    witness = _convex_cell(entries, chosen, against, masks, coeffs)
-                if witness is not None:
-                    return witness
-    return None
+def check(assessment: Assessment, consistency: Optional[str] = None) -> Verdict:
+    """Decide consistency of an assessment for the given class.
+
+    Upper assessments are conjugated first, so a single lower-prevision
+    gain form covers everything. The witness, when present, is the first
+    violating gain in a fixed enumeration order of (subfamily, entry bet
+    against) cells, with its conditioned maximum strictly negative.
+    """
+    return _decide(assessment, normalize_class(consistency or assessment.consistency or "W"))
 
 
 def check_avoiding_sure_loss(assessment: Assessment) -> Verdict:
     """The weaker no-sure-loss condition: only bets in favour, so a
     violation is a nonnegative-stake gain strictly negative on its
     conditioning union."""
-    if assessment.kind == "upper":
-        return check_avoiding_sure_loss(conjugate(assessment))
-    entries = list(assessment.entries)
-    if not entries:
-        return Verdict(True)
-    if len(entries) > MAX_ENTRIES:
-        raise EnumerationLimitError(
-            f"{len(entries)} entries exceed the subfamily enumeration cap of {MAX_ENTRIES}"
-        )
-    masks, coeffs = _entry_data(entries)
-    n = entries[0][0].universe.size
-    for subset in range(1, 1 << len(entries)):
-        chosen = [k for k in range(len(entries)) if (subset >> k) & 1]
-        union = 0
-        for k in chosen:
-            union |= masks[k]
-        constraints = []
-        for w in _world_indices(union, n):
-            row = [coeffs[k][w] for k in chosen] + [_ONE]
-            constraints.append((row, "<=", _ZERO))
-        constraints.append(([_ONE] * len(chosen) + [_ZERO], "<=", _ONE))
-        objective = [_ZERO] * len(chosen) + [_ONE]
-        result = solve_lp(objective, constraints)
-        if result.status != "optimal":
-            raise AssertionError("a gain LP is feasible and bounded")
-        if result.objective > 0:
-            sol = result.solution
-            terms = tuple(
-                GainTerm(sol[j], entries[k][0], entries[k][1])
-                for j, k in enumerate(chosen)
-            )
-            witness = GainSpec(terms, against=None)
-            if conditioned_max(witness) >= 0:
-                raise AssertionError("LP produced a non-violating witness")
-            return Verdict(False, witness)
-    return Verdict(True)
+    return _decide(assessment, "asl")
 
 
 def asl_monotonicity_counterexample() -> tuple[Assessment, tuple[ConditionalEvent, ConditionalEvent]]:

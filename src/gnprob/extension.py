@@ -21,30 +21,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .algebra import (
     ConditionalEvent,
     ConditionalGamble,
-    Event,
     Partition,
     _require_same_universe,
     inner_event,
     outer_event,
 )
 from .assessments import Assessment, LayeredProbability
-from .errors import (
-    EnumerationLimitError,
-    TrivialTargetError,
-    UnsupportedOperationError,
-    ValidationError,
-)
-from .gn import gn_leq_events
+from .errors import TrivialTargetError, UnsupportedOperationError, ValidationError
 
 Evaluator = Callable[[ConditionalEvent], Fraction]
-
-MAX_BLOCKS = 12
-
 
 def _require_nontrivial(cd: ConditionalEvent) -> None:
     if cd.is_trivial:
@@ -98,43 +88,6 @@ def conditional_outer(cd: ConditionalEvent, p: Partition) -> Optional[Conditiona
     if conditioning.is_empty:
         return None
     return ConditionalEvent(true_out, conditioning)
-
-
-def iter_conditional_domain(p: Partition) -> Iterator[ConditionalEvent]:
-    """Every conditional event with both parts measurable for ``p``."""
-    if len(p.blocks) > MAX_BLOCKS:
-        raise EnumerationLimitError(
-            f"{len(p.blocks)} blocks exceed the enumeration cap of {MAX_BLOCKS}"
-        )
-    masks = [b.mask for b in p.blocks]
-    for choice in range(1, 1 << len(masks)):
-        b_mask = 0
-        for i, bm in enumerate(masks):
-            if (choice >> i) & 1:
-                b_mask |= bm
-        conditioning = Event(p.universe, b_mask)
-        sub = choice
-        while True:
-            a_mask = 0
-            for i, bm in enumerate(masks):
-                if (sub >> i) & 1:
-                    a_mask |= bm
-            yield ConditionalEvent(Event(p.universe, a_mask), conditioning)
-            if sub == 0:
-                break
-            sub = (sub - 1) & choice
-
-
-def gn_lower_set(cd: ConditionalEvent, p: Partition) -> list[ConditionalEvent]:
-    """All measurable conditional events GN-below cd, by enumeration."""
-    _require_nontrivial(cd)
-    return [ab for ab in iter_conditional_domain(p) if gn_leq_events(ab, cd)]
-
-
-def gn_upper_set(cd: ConditionalEvent, p: Partition) -> list[ConditionalEvent]:
-    """All measurable conditional events GN-above cd, by enumeration."""
-    _require_nontrivial(cd)
-    return [ab for ab in iter_conditional_domain(p) if gn_leq_events(cd, ab)]
 
 
 def extension_interval(mu: Evaluator, cd: ConditionalEvent, p: Partition) -> ExtensionInterval:

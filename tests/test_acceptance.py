@@ -30,7 +30,6 @@ from gnprob import (
     gn_leq_gambles,
     gn_leq_via_algebra,
     inner_event_lower_bound,
-    iter_conditional_domain,
     monotonicity_audit,
     natural_extension,
     nested_conditioning_report,
@@ -45,6 +44,7 @@ from conftest import (
     random_nontrivial_ce,
     random_partition,
 )
+from oracles import iter_conditional_domain, scaled
 
 DELTA = Fraction(1, 1000)
 
@@ -410,7 +410,7 @@ def test_criterion_10_checker_soundness():
         if conditioned_max(witness) >= 0:
             ok = False
         for factor in (Fraction(3), Fraction(1, 3)):
-            if conditioned_max(witness.scaled(factor)) >= 0:
+            if conditioned_max(scaled(witness, factor)) >= 0:
                 ok = False
     elapsed = time.perf_counter() - start
     _criterion(10, "checker soundness, envelope theorems, class hierarchy",

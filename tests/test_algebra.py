@@ -21,12 +21,12 @@ from gnprob import (
     inf_over,
     inner_event,
     is_logically_dependent,
-    iter_measurable_events,
     outer_event,
     product_partition,
     sup_over,
 )
 from conftest import make_universe
+from oracles import iter_measurable_events
 
 
 def u_events(u, *masks):

@@ -91,6 +91,24 @@ class TestCheckCommand:
         code, _, err = run_cli(["check", str(bad), "x"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "data, location",
+        [
+            ({"universe": ["a", "b"], "assessments": {"x": [1]}}, "assessments.x:"),
+            ({"universe": 3}, "universe:"),
+            ({"universe": "ab"}, "universe:"),
+            ({"universe": ["a"], "events": [["a"]]}, "events:"),
+            ({"universe": ["a"], "assessments": {"x": {"entries": 3}}}, "assessments.x.entries:"),
+            ({"universe": ["a"], "assessments": {"x": {"entries": [1]}}}, "assessments.x.entries[0]:"),
+        ],
+    )
+    def test_bad_shapes_exit_two_with_location(self, data, location, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, _, err = run_cli(["check", str(bad), "x"], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {location}")
+
 
 class TestGnCommand:
     def test_football_leq(self, capsys):

@@ -20,7 +20,6 @@ from gnprob import (
     conjugate,
     evaluate_gain,
     extension_interval,
-    iter_conditional_domain,
     monotonicity_audit,
     random_credal,
     random_layered,
@@ -31,6 +30,7 @@ from conftest import (
     random_nontrivial_ce,
     random_partition,
 )
+from oracles import iter_conditional_domain, scaled
 
 ALL_CLASSES = ("dF", "W", "convex", "1convex")
 
@@ -106,8 +106,8 @@ class TestCheckExamples:
         assert conditioned_max(witness) < 0
         # stakes scale to the unit gain losing 1/5 everywhere
         total = sum(t.stake for t in witness.terms)
-        unit = witness.scaled(1 / total) if total != 1 else witness
-        assert conditioned_max(unit.scaled(2)) == 2 * conditioned_max(unit)
+        unit = scaled(witness, 1 / total) if total != 1 else witness
+        assert conditioned_max(scaled(unit, 2)) == 2 * conditioned_max(unit)
 
     def test_dominated_lower_pair_w_coherent(self):
         u = make_universe(2)
@@ -312,6 +312,12 @@ class TestAvoidingSureLoss:
         assert conditioned_max(verdict.witness) < 0
         assert verdict.witness.against is None
         assert all(t.stake >= 0 for t in verdict.witness.terms)
+
+    def test_sure_loss_is_not_a_check_class(self):
+        # avoiding sure loss has its own entry point, not a class name
+        assessment, _ = asl_monotonicity_counterexample()
+        with pytest.raises(ValidationError):
+            check(assessment, "asl")
 
 
 class TestClassBoundaries:

@@ -18,9 +18,6 @@ from gnprob import (
     df_to_imprecise,
     extension_interval,
     gn_leq_events,
-    gn_lower_set,
-    gn_upper_set,
-    iter_conditional_domain,
     natural_extension,
     random_credal,
     upper_extension,
@@ -32,6 +29,7 @@ from conftest import (
     random_nontrivial_ce,
     random_partition,
 )
+from oracles import gn_lower_set, gn_upper_set, iter_conditional_domain
 
 
 class TestConditionalInnerOuter:

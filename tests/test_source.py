@@ -16,3 +16,28 @@ def test_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+PUBLIC_NAMES = """
+    Assessment BoundReport ConditionalEvent ConditionalGamble ConditionalImplication
+    CredalSet EmptyConditioningError EnumerationLimitError Event ExtensionInterval
+    GainSpec GainTerm Gamble GnVerdict GnprobError LayeredProbability LpResult
+    MonotonicityViolation Partition SignRelationReport TrivialTargetError Universe
+    UniverseMismatchError UnsupportedOperationError ValidationError Verdict
+    algebra as_fraction asl_monotonicity_counterexample assessments ce_and ce_or
+    check check_avoiding_sure_loss coherence conditional_implications
+    conditional_inner conditional_outer conditioned_max conjugate df_to_imprecise
+    errors evaluate_gain extension extension_interval finite_values_lower_bound
+    generated_partition gn gn_compare gn_compare_gambles gn_leq_events
+    gn_leq_gambles gn_leq_via_algebra inequalities inf_over inner_event
+    inner_event_lower_bound is_logically_dependent monotonicity_audit
+    natural_extension nested_conditioning_report normalize_class outer_event
+    product_partition product_rule_report random_credal random_layered
+    sign_relation simplex solve_lp sup_over upper_extension
+""".split()
+
+
+def test_public_surface_snapshot():
+    # A name enters or leaves the package's public API only on purpose:
+    # update this list in the same change.
+    assert sorted(gnprob.__all__) == sorted(PUBLIC_NAMES)
