@@ -162,7 +162,13 @@ class Event:
         return self.mask == self.universe.omega.mask
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.universe.size) if (self.mask >> i) & 1)
+        out = []
+        mask = self.mask
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(out)
 
     def worlds(self) -> tuple[str, ...]:
         return tuple(self.universe.worlds[i] for i in self.indices())

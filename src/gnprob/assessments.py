@@ -13,7 +13,12 @@ A :class:`LayeredProbability` is a stack of probability measures with
 pairwise disjoint supports covering the universe. Conditioning on B uses
 the first layer giving B positive mass, so zero-probability conditioning
 events are handled exactly; on a finite universe these stacks realise
-exactly the coherent full conditional probabilities. A
+exactly the coherent full conditional probabilities. Besides its layers
+of ``Fraction`` masses, each measure keeps every layer as integer
+numerators over the lcm of that layer's denominators. The mass of an
+event is then an integer sum over the set bits of its mask, and a
+conditional probability or prevision is built as a single ``Fraction``
+from two integers, equal to the value summed in rationals. A
 :class:`CredalSet` is a finite set of such measures; its pointwise
 minimum and maximum over members provide lower and upper envelopes.
 Both types expose ``lower``/``upper`` evaluators accepting events,
@@ -26,6 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .algebra import (
@@ -154,77 +160,103 @@ class Assessment:
 class LayeredProbability:
     """Full conditional probability as a stack of layer measures."""
 
-    __slots__ = ("universe", "layers")
+    __slots__ = ("universe", "layers", "_nums", "_supports")
 
     def __init__(self, universe: Universe, layers: Sequence[Sequence[RationalLike]]):
         stacked = []
+        numerators = []
+        supports = []
         covered = 0
         for depth, layer in enumerate(layers):
             masses = tuple(as_fraction(v) for v in layer)
             if len(masses) != universe.size:
                 raise ValidationError(f"layer {depth}: expected {universe.size} masses")
-            if any(m < 0 for m in masses):
+            den = lcm(*(m.denominator for m in masses))
+            nums = tuple(m.numerator * (den // m.denominator) for m in masses)
+            if any(k < 0 for k in nums):
                 raise ValidationError(f"layer {depth}: negative mass")
-            if sum(masses) != 1:
+            if sum(nums) != den:
                 raise ValidationError(f"layer {depth}: masses must sum to 1")
             support = 0
-            for i, m in enumerate(masses):
-                if m > 0:
+            for i, k in enumerate(nums):
+                if k:
                     support |= 1 << i
             if support & covered:
                 raise ValidationError(f"layer {depth}: support overlaps an earlier layer")
             covered |= support
             stacked.append(masses)
+            numerators.append(nums)
+            supports.append(support)
         if not stacked:
             raise ValidationError("at least one layer is required")
         if covered != (1 << universe.size) - 1:
             raise ValidationError("layer supports must cover the whole universe")
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "layers", tuple(stacked))
+        object.__setattr__(self, "_nums", tuple(numerators))
+        object.__setattr__(self, "_supports", tuple(supports))
 
     def __setattr__(self, name, value):
         raise AttributeError("LayeredProbability is immutable")
 
     def support(self, depth: int) -> Event:
-        mask = 0
-        for i, m in enumerate(self.layers[depth]):
-            if m > 0:
-                mask |= 1 << i
-        return Event(self.universe, mask)
+        return Event(self.universe, self._supports[depth])
 
-    def _mass(self, depth: int, mask: int) -> Fraction:
-        layer = self.layers[depth]
-        return sum(
-            (layer[i] for i in range(self.universe.size) if (mask >> i) & 1),
-            Fraction(0),
-        )
+    def _charging(self, mask: int) -> int:
+        """Depth of the first layer giving the worlds of ``mask`` positive mass."""
+        for depth, support in enumerate(self._supports):
+            if support & mask:
+                return depth
+        raise AssertionError("layer supports cover the universe; unreachable")
+
+    def _mass(self, depth: int, mask: int) -> int:
+        """Mass of ``mask`` in layer ``depth``, as a numerator over the
+        layer's denominator: an integer sum over the set bits."""
+        nums = self._nums[depth]
+        mask &= self._supports[depth]
+        total = 0
+        while mask:
+            low = mask & -mask
+            total += nums[low.bit_length() - 1]
+            mask ^= low
+        return total
 
     def probability(self, ce: ConditionalEvent) -> Fraction:
         """P(A|B) from the first layer giving B positive mass."""
         if ce.universe != self.universe:
             raise UniverseMismatchError("conditional event on a different universe")
-        for depth in range(len(self.layers)):
-            denom = self._mass(depth, ce.conditioning.mask)
-            if denom > 0:
-                return self._mass(depth, ce.conditioned.mask) / denom
-        raise AssertionError("layer supports cover the universe; unreachable")
+        b = ce.conditioning.mask
+        depth = self._charging(b)
+        return Fraction(self._mass(depth, ce.conditioned.mask), self._mass(depth, b))
 
     def prevision(self, cg: ConditionalGamble) -> Fraction:
         """P(X|B): expectation of X under the first layer charging B,
-        renormalized on B."""
+        renormalized on B.
+
+        The payoffs on the charged worlds are scaled to integers by the
+        lcm of their denominators (grown as the worlds are visited), so
+        the expectation is one integer dot product and one division."""
         if cg.universe != self.universe:
             raise UniverseMismatchError("conditional gamble on a different universe")
         b = cg.conditioning.mask
-        for depth in range(len(self.layers)):
-            denom = self._mass(depth, b)
-            if denom > 0:
-                layer = self.layers[depth]
-                total = sum(
-                    (cg.payoff.values[i] * layer[i] for i in cg.conditioning.indices()),
-                    Fraction(0),
-                )
-                return total / denom
-        raise AssertionError("layer supports cover the universe; unreachable")
+        depth = self._charging(b)
+        nums = self._nums[depth]
+        on = b & self._supports[depth]
+        values = cg.payoff.values
+        total = mass = 0
+        scale = 1
+        while on:
+            low = on & -on
+            i = low.bit_length() - 1
+            on ^= low
+            v = values[i]
+            if scale % v.denominator:
+                step = v.denominator // gcd(scale, v.denominator)
+                total *= step
+                scale *= step
+            total += v.numerator * (scale // v.denominator) * nums[i]
+            mass += nums[i]
+        return Fraction(total, mass * scale)
 
     def value(self, obj: Evaluable) -> Fraction:
         if isinstance(obj, ConditionalEvent):

@@ -22,11 +22,16 @@ either names of layered probabilities or inline layer lists. Assessment
 entries name an event or a gamble (or give one inline), an optional
 conditioning event (defaults to the sure event) and a value.
 
+Rational literals in a file may have at most ``MAX_LITERAL_DIGITS``
+digits and an exponent of at most that size, so that a short literal
+such as "1e-3000000" cannot expand into a huge number.
+
 Commands: check, gn, extend, audit, bounds, sample. Exit status is 0
 when the queried property holds (consistent, no violations), 1 when it
-fails, 2 for usage or input errors. Every command accepts
-``--format json`` for structured output; identical inputs produce
-byte-identical output.
+fails, 2 for usage or input errors and 3 for an internal error (a bug:
+an unexpected exception, reported in one line without a traceback).
+Every command accepts ``--format json`` for structured output;
+identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -70,6 +75,33 @@ from .inequalities import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
+
+MAX_LITERAL_DIGITS = 1000
+_INTEGER_LIMIT = 10**MAX_LITERAL_DIGITS
+
+
+def _is_names(spec) -> bool:
+    return isinstance(spec, list) and all(isinstance(w, str) for w in spec)
+
+
+def _check_literal(value, where: str) -> None:
+    """Refuse a rational literal from a problem file that has more than
+    MAX_LITERAL_DIGITS digits, or an exponent above that, before it is
+    expanded into a Fraction."""
+    if isinstance(value, str):
+        if len(value) <= MAX_LITERAL_DIGITS and "e" not in value and "E" not in value:
+            return
+        exponent = value.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+        if sum(map(str.isdecimal, value)) > MAX_LITERAL_DIGITS or (
+            exponent.isdecimal() and int(exponent) > MAX_LITERAL_DIGITS
+        ):
+            raise ValidationError(
+                f"{where}: rational literal with more than {MAX_LITERAL_DIGITS} digits "
+                f"or an exponent above {MAX_LITERAL_DIGITS}"
+            )
+    elif isinstance(value, int) and abs(value) >= _INTEGER_LIMIT:
+        raise ValidationError(f"{where}: integer has more than {MAX_LITERAL_DIGITS} digits")
 
 
 # ---------------------------------------------------------------------------
@@ -96,9 +128,12 @@ class Problem:
             worlds = data["universe"]
         except KeyError:
             raise ValidationError("problem file: missing 'universe'") from None
-        if not isinstance(worlds, list) or not all(isinstance(w, str) for w in worlds):
+        if not _is_names(worlds):
             raise ValidationError("universe: must be a list of world names")
-        universe = Universe(tuple(worlds))
+        try:
+            universe = Universe(tuple(worlds))
+        except GnprobError as exc:
+            raise ValidationError(f"universe: {exc}") from None
         problem = cls(universe)
 
         def section(key: str) -> dict:
@@ -110,6 +145,10 @@ class Problem:
         for name, spec in section("events").items():
             problem.events[name] = problem._event_from_spec(spec, f"events.{name}")
         for name, spec in section("partitions").items():
+            if not isinstance(spec, list) or not all(_is_names(block) for block in spec):
+                raise ValidationError(
+                    f"partitions.{name}: must be a list of blocks, each a list of world names"
+                )
             try:
                 blocks = tuple(universe.event(block) for block in spec)
                 problem.partitions[name] = Partition(universe, blocks)
@@ -120,6 +159,8 @@ class Problem:
         for name, spec in section("layered").items():
             problem.layered[name] = problem._layered_from_spec(spec, f"layered.{name}")
         for name, spec in section("credal").items():
+            if not isinstance(spec, list):
+                raise ValidationError(f"credal.{name}: must be a list of members")
             members = []
             for i, member in enumerate(spec):
                 where = f"credal.{name}[{i}]"
@@ -143,11 +184,20 @@ class Problem:
         try:
             if isinstance(spec, str):
                 return self.resolve_event(spec)
-            return self.universe.event(spec)
+            if _is_names(spec):
+                return self.universe.event(spec)
         except GnprobError as exc:
             raise ValidationError(f"{where}: {exc}") from None
+        raise ValidationError(f"{where}: an event must be a list of world names or a name")
 
     def _gamble_from_spec(self, spec, where: str) -> Gamble:
+        if isinstance(spec, (dict, list)):
+            for value in spec.values() if isinstance(spec, dict) else spec:
+                _check_literal(value, where)
+        elif not isinstance(spec, str):
+            raise ValidationError(
+                f"{where}: a gamble must be a world-to-value object, a list of values or a name"
+            )
         try:
             if isinstance(spec, str):
                 return self.resolve_gamble(spec)
@@ -156,15 +206,16 @@ class Problem:
             raise ValidationError(f"{where}: {exc}") from None
 
     def _layered_from_spec(self, spec, where: str) -> LayeredProbability:
+        if not isinstance(spec, list) or not all(isinstance(layer, dict) for layer in spec):
+            raise ValidationError(f"{where}: must be a list of world-to-mass objects")
+        for layer in spec:
+            for mass in layer.values():
+                _check_literal(mass, where)
+        layers = [[layer.get(w, 0) for w in self.universe.worlds] for layer in spec]
         try:
-            layers = [
-                [layer.get(w, 0) for w in self.universe.worlds] for layer in spec
-            ]
             return LayeredProbability(self.universe, layers)
         except GnprobError as exc:
             raise ValidationError(f"{where}: {exc}") from None
-        except AttributeError:
-            raise ValidationError(f"{where}: each layer must be a world-to-mass object") from None
 
     def _assessment_from_spec(self, spec, where: str) -> Assessment:
         if not isinstance(spec, dict):
@@ -183,18 +234,18 @@ class Problem:
             if "given" in entry:
                 given = self._event_from_spec(entry["given"], at)
             if "event" in entry:
-                target = self._event_from_spec(entry["event"], at)
-                gamble = ConditionalGamble(Gamble.indicator(target), given)
+                payoff = Gamble.indicator(self._event_from_spec(entry["event"], at))
             elif "gamble" in entry:
                 payoff = self._gamble_from_spec(entry["gamble"], at)
-                gamble = ConditionalGamble(payoff, given)
             else:
                 raise ValidationError(f"{at}: entry needs an 'event' or a 'gamble'")
+            if "value" not in entry:
+                raise ValidationError(f"{at}: missing 'value'")
+            _check_literal(entry["value"], at)
             try:
-                value = as_fraction(entry["value"])
-            except KeyError:
-                raise ValidationError(f"{at}: missing 'value'") from None
-            entries.append((gamble, value))
+                entries.append((ConditionalGamble(payoff, given), as_fraction(entry["value"])))
+            except GnprobError as exc:
+                raise ValidationError(f"{at}: {exc}") from None
         try:
             return Assessment(tuple(entries), kind=kind, consistency=consistency)
         except GnprobError as exc:
@@ -299,7 +350,7 @@ def load_problem(path: str) -> Problem:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"{path}: invalid JSON ({exc})") from None
     return Problem.from_dict(data)
 
@@ -674,6 +725,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # noqa: BLE001 - exit 1 must only ever mean "property fails"
+        detail = (str(exc).splitlines() or [""])[0]
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -12,19 +12,26 @@ implication checks, the conditional-event-algebra characterisation via
 the conjunction of conditional events, and the indicator special case of
 the gamble relation. Their agreement is asserted exhaustively in the
 test suite.
+
+The gamble relation is decided on integers. A profile of X|B holds the
+mask of B, its worlds, X's payoffs as integer numerators over a scale
+shared by all the gambles compared (the lcm of their denominators), and
+the sup and inf of X on B. One kernel compares two profiles world by
+world and stops at the first world that fails. :func:`gn_leq_gambles`
+builds two profiles per call; the monotonicity audit builds one per
+entry of an assessment, over one scale, and runs every pair on them.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple, Optional
+from math import lcm
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import (
     ConditionalEvent,
     ConditionalGamble,
     _require_same_universe,
-    inf_over,
-    sup_over,
 )
 from .errors import EmptyConditioningError, ValidationError
 
@@ -95,6 +102,41 @@ def gn_compare(ab: ConditionalEvent, cd: ConditionalEvent) -> GnVerdict:
     return _verdict(gn_leq_events(ab, cd), gn_leq_events(cd, ab))
 
 
+def _profiles(gambles: Sequence[ConditionalGamble]) -> list[tuple]:
+    """What the GN test needs of each X|B, with payoffs as integer
+    numerators over one scale shared by all the gambles (the lcm of their
+    denominators on their conditioning events): the mask of B, the worlds
+    of B, the numerators (0 off B), the sup on B and the inf on B."""
+    worlds = [cg.conditioning.indices() for cg in gambles]
+    scale = lcm(
+        *(cg.payoff.values[i].denominator for cg, on in zip(gambles, worlds) for i in on)
+    )
+    profiles = []
+    for cg, on in zip(gambles, worlds):
+        values = cg.payoff.values
+        nums = [0] * len(values)
+        for i in on:
+            v = values[i]
+            nums[i] = v.numerator * (scale // v.denominator)
+        live = [nums[i] for i in on]
+        profiles.append((cg.conditioning.mask, on, nums, max(live), min(live)))
+    return profiles
+
+
+def _gn_leq(left: tuple, right: tuple) -> bool:
+    """X|B GN-below Y|D for two profiles at one scale; stops at the
+    first world that fails."""
+    b, b_worlds, xs, sup_x, _ = left
+    d, d_worlds, ys, _, inf_y = right
+    for i in b_worlds:
+        if xs[i] > (ys[i] if d >> i & 1 else inf_y):
+            return False
+    for i in d_worlds:
+        if sup_x > ys[i] and not b >> i & 1:
+            return False
+    return True
+
+
 def gn_leq_gambles(xb: ConditionalGamble, yd: ConditionalGamble) -> bool:
     """True when X|B is Goodman-Nguyen below Y|D.
 
@@ -104,26 +146,7 @@ def gn_leq_gambles(xb: ConditionalGamble, yd: ConditionalGamble) -> bool:
     payoff. Worlds outside both conditioning events impose nothing.
     """
     _require_same_universe(xb.conditioning, yd.conditioning)
-    b_mask = xb.conditioning.mask
-    d_mask = yd.conditioning.mask
-    sup_x = sup_over(xb.payoff, xb.conditioning)
-    inf_y = inf_over(yd.payoff, yd.conditioning)
-    xs = xb.payoff.values
-    ys = yd.payoff.values
-    union = b_mask | d_mask
-    for i in range(xb.universe.size):
-        bit = 1 << i
-        if not union & bit:
-            continue
-        lhs = xs[i]
-        rhs = ys[i]
-        if d_mask & bit and not b_mask & bit:
-            lhs += sup_x
-        if b_mask & bit and not d_mask & bit:
-            rhs += inf_y
-        if lhs > rhs:
-            return False
-    return True
+    return _gn_leq(*_profiles((xb, yd)))
 
 
 def gn_compare_gambles(xb: ConditionalGamble, yd: ConditionalGamble) -> GnVerdict:

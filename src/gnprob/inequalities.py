@@ -33,7 +33,7 @@ from .algebra import (
 from .assessments import Assessment
 from .errors import EmptyConditioningError, ValidationError
 from .extension import conditional_inner
-from .gn import GnVerdict, gn_leq_gambles
+from .gn import GnVerdict, _gn_leq, _profiles
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -137,11 +137,14 @@ def monotonicity_audit(assessment: Assessment) -> list[MonotonicityViolation]:
     hence for the coherent and precise classes as well."""
     violations = []
     entries = assessment.entries
+    profiles = _profiles(assessment.gambles())
+    # values compared as integer ranks: lv > rv exactly when its rank is higher
+    values = assessment.values()
+    order = {v: r for r, v in enumerate(sorted(set(values)))}
+    ranks = [order[v] for v in values]
     for i, (left, lv) in enumerate(entries):
         for j, (right, rv) in enumerate(entries):
-            if i == j or lv <= rv:
-                continue
-            if gn_leq_gambles(left, right):
+            if ranks[j] < ranks[i] and _gn_leq(profiles[i], profiles[j]):
                 violations.append(MonotonicityViolation(i, j, left, right, lv, rv))
     return violations
 

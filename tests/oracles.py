@@ -5,6 +5,11 @@ conditional events and never enumerates a partition's field. The
 enumerators here do, so the tests can cross-check the closed forms
 against brute force on small partitions. ``scaled`` rescales a witness
 gain, for the tests of positive homogeneity.
+
+The library evaluates layered probabilities and decides the GN order on
+gambles with integer numerators. The ``oracle_*`` functions here are the
+direct ``Fraction`` versions, world by world, which the integer kernels
+must agree with exactly.
 """
 
 from __future__ import annotations
@@ -13,14 +18,20 @@ from fractions import Fraction
 from typing import Iterator
 
 from gnprob import (
+    Assessment,
     ConditionalEvent,
+    ConditionalGamble,
     EnumerationLimitError,
     Event,
     GainSpec,
     GainTerm,
+    LayeredProbability,
+    MonotonicityViolation,
     Partition,
     ValidationError,
     gn_leq_events,
+    inf_over,
+    sup_over,
 )
 from gnprob.extension import _require_nontrivial
 
@@ -85,3 +96,64 @@ def scaled(spec: GainSpec, factor) -> GainSpec:
         tuple(GainTerm(t.stake * factor, t.gamble, t.value) for t in spec.terms),
         spec.against,
     )
+
+
+def _oracle_mass(layer, mask: int) -> Fraction:
+    return sum((m for i, m in enumerate(layer) if (mask >> i) & 1), Fraction(0))
+
+
+def oracle_probability(lp: LayeredProbability, ce: ConditionalEvent) -> Fraction:
+    """P(A|B) from the first layer giving B positive mass, in Fractions."""
+    for layer in lp.layers:
+        denom = _oracle_mass(layer, ce.conditioning.mask)
+        if denom > 0:
+            return _oracle_mass(layer, ce.conditioned.mask) / denom
+    raise AssertionError("layer supports cover the universe")
+
+
+def oracle_prevision(lp: LayeredProbability, cg: ConditionalGamble) -> Fraction:
+    """P(X|B) under the first layer charging B, in Fractions."""
+    for layer in lp.layers:
+        denom = _oracle_mass(layer, cg.conditioning.mask)
+        if denom > 0:
+            total = sum(
+                (cg.payoff.values[i] * layer[i] for i in cg.conditioning.indices()),
+                Fraction(0),
+            )
+            return total / denom
+    raise AssertionError("layer supports cover the universe")
+
+
+def oracle_gn_leq_gambles(xb: ConditionalGamble, yd: ConditionalGamble) -> bool:
+    """X|B GN-below Y|D, checked world by world in Fractions."""
+    b_mask = xb.conditioning.mask
+    d_mask = yd.conditioning.mask
+    sup_x = sup_over(xb.payoff, xb.conditioning)
+    inf_y = inf_over(yd.payoff, yd.conditioning)
+    xs = xb.payoff.values
+    ys = yd.payoff.values
+    union = b_mask | d_mask
+    for i in range(xb.universe.size):
+        bit = 1 << i
+        if not union & bit:
+            continue
+        lhs = xs[i]
+        rhs = ys[i]
+        if d_mask & bit and not b_mask & bit:
+            lhs += sup_x
+        if b_mask & bit and not d_mask & bit:
+            rhs += inf_y
+        if lhs > rhs:
+            return False
+    return True
+
+
+def oracle_monotonicity_audit(assessment: Assessment) -> list[MonotonicityViolation]:
+    """Every ordered entry pair, tested with ``oracle_gn_leq_gambles``."""
+    entries = assessment.entries
+    return [
+        MonotonicityViolation(i, j, left, right, lv, rv)
+        for i, (left, lv) in enumerate(entries)
+        for j, (right, rv) in enumerate(entries)
+        if i != j and lv > rv and oracle_gn_leq_gambles(left, right)
+    ]

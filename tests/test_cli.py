@@ -3,10 +3,14 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gnprob import GnprobError, ValidationError, cli
 from gnprob.cli import Problem, load_problem, main
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -55,6 +59,17 @@ class TestCheckCommand:
         code, _, err = run_cli(["check", str(bad), "x"], capsys)
         assert code == 2 and "invalid JSON" in err
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{}", b"[" * 100_000, b'{"universe": ["a"], "x": ' + b"1" * 5000 + b"}"],
+        ids=["not-utf8", "deep-nesting", "huge-integer"],
+    )
+    def test_unreadable_json_exit_two(self, content, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        code, _, err = run_cli(["check", str(bad), "x"], capsys)
+        assert code == 2 and "invalid JSON" in err
+
     def test_loader_errors_are_path_anchored(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(
@@ -100,6 +115,19 @@ class TestCheckCommand:
             ({"universe": ["a"], "events": [["a"]]}, "events:"),
             ({"universe": ["a"], "assessments": {"x": {"entries": 3}}}, "assessments.x.entries:"),
             ({"universe": ["a"], "assessments": {"x": {"entries": [1]}}}, "assessments.x.entries[0]:"),
+            ({"universe": ["a"], "partitions": {"P": 3}}, "partitions.P:"),
+            ({"universe": ["a"], "events": {"E": 3}}, "events.E:"),
+            ({"universe": ["a"], "gambles": {"X": 3}}, "gambles.X:"),
+            ({"universe": ["a"], "layered": {"L": 3}}, "layered.L:"),
+            ({"universe": ["a"], "credal": {"C": 3}}, "credal.C:"),
+            (
+                {"universe": ["a"], "assessments": {"x": {"entries": [{"event": 3, "value": "1"}]}}},
+                "assessments.x.entries[0]:",
+            ),
+            (
+                {"universe": ["a", "b"], "assessments": {"x": {"entries": [{"event": ["a"], "given": [], "value": "1"}]}}},
+                "assessments.x.entries[0]:",
+            ),
         ],
     )
     def test_bad_shapes_exit_two_with_location(self, data, location, tmp_path, capsys):
@@ -108,6 +136,110 @@ class TestCheckCommand:
         code, _, err = run_cli(["check", str(bad), "x"], capsys)
         assert code == 2
         assert err.startswith(f"error: {location}")
+
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["1e-3000000", "1E+999999999", "1e1001", "1" * 1001, "1/" + "7" * 1001],
+    )
+    def test_long_rational_literal_fails_fast(self, literal, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            json.dumps(
+                {
+                    "universe": ["a", "b"],
+                    "assessments": {
+                        "x": {"entries": [{"event": ["a"], "value": literal}]}
+                    },
+                }
+            )
+        )
+        start = time.perf_counter()
+        code, _, err = run_cli(["check", str(bad), "x", "--class", "W"], capsys)
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert err.startswith("error: assessments.x.entries[0]: rational literal")
+
+    def test_literal_bound_covers_masses_and_payoffs(self):
+        long = "1/" + "3" * 1001
+        for data, location in [
+            ({"universe": ["a"], "layered": {"L": [{"a": long}]}}, "layered.L:"),
+            ({"universe": ["a"], "gambles": {"X": {"a": long}}}, "gambles.X:"),
+            ({"universe": ["a"], "gambles": {"X": [10**1001]}}, "gambles.X:"),
+        ]:
+            with pytest.raises(ValidationError, match=f"^{location}"):
+                Problem.from_dict(data)
+
+    def test_literal_at_the_bound_loads(self):
+        problem = Problem.from_dict(
+            {"universe": ["a"], "gambles": {"X": ["1e1000"], "Y": ["9" * 1000]}}
+        )
+        assert problem.gambles["X"].values[0] == 10**1000
+
+    def test_unexpected_exception_is_internal_error(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("boom\nsecond line")
+
+        monkeypatch.setattr(cli, "check", broken)
+        code, out, err = run_cli(["check", COINS, "fair"], capsys)
+        assert code == cli.EXIT_INTERNAL == 3
+        assert out == ""
+        assert err == "internal error: ZeroDivisionError: boom\n"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+WORLDS = st.sampled_from(["a", "b", "c"])
+RATIONALS = st.sampled_from(["0", "1", "1/2", "1/3", "-2", "x", "1e-3000000"]) | JSON_VALUES
+EVENTS = st.lists(WORLDS, max_size=3) | st.sampled_from(["E", "F"]) | JSON_VALUES
+GAMBLES = st.dictionaries(WORLDS, RATIONALS, max_size=3) | st.lists(RATIONALS, max_size=3) | JSON_VALUES
+LAYERED = st.lists(st.dictionaries(WORLDS, RATIONALS, max_size=3), max_size=2) | JSON_VALUES
+ENTRIES = st.lists(
+    st.fixed_dictionaries(
+        {},
+        optional={"event": EVENTS, "gamble": GAMBLES, "given": EVENTS, "value": RATIONALS},
+    )
+    | JSON_VALUES,
+    max_size=3,
+)
+SECTIONS = {
+    "events": st.dictionaries(st.sampled_from(["E", "F"]), EVENTS, max_size=2),
+    "partitions": st.dictionaries(st.just("P"), st.lists(st.lists(WORLDS, max_size=3), max_size=3) | JSON_VALUES),
+    "gambles": st.dictionaries(st.just("X"), GAMBLES, max_size=1),
+    "layered": st.dictionaries(st.just("L"), LAYERED, max_size=1),
+    "credal": st.dictionaries(st.just("C"), st.lists(st.just("L") | LAYERED, max_size=2) | JSON_VALUES),
+    "assessments": st.dictionaries(
+        st.just("x"),
+        st.fixed_dictionaries(
+            {"entries": ENTRIES},
+            optional={"kind": st.sampled_from(["lower", "upper", "precise"]) | JSON_VALUES,
+                      "class": st.sampled_from(["W", "dF"]) | JSON_VALUES},
+        )
+        | JSON_VALUES,
+        max_size=1,
+    ),
+}
+PROBLEM_DOCS = (
+    st.fixed_dictionaries(
+        {"universe": st.lists(WORLDS, min_size=1, max_size=3, unique=True) | JSON_VALUES},
+        optional={key: value | JSON_VALUES for key, value in SECTIONS.items()},
+    )
+    | JSON_VALUES
+)
+
+
+class TestProblemFromDictProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(PROBLEM_DOCS)
+    def test_loads_or_raises_gnprob_error(self, data):
+        try:
+            Problem.from_dict(data)
+        except GnprobError:
+            pass
 
 
 class TestGnCommand:

@@ -1,0 +1,177 @@
+"""The integer evaluators and the integer GN kernel against their Fraction oracles."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from gnprob import (
+    Assessment,
+    ConditionalEvent,
+    ConditionalGamble,
+    CredalSet,
+    Event,
+    Gamble,
+    LayeredProbability,
+    ValidationError,
+    gn_leq_gambles,
+    monotonicity_audit,
+)
+
+from conftest import make_universe
+from oracles import (
+    oracle_gn_leq_gambles,
+    oracle_monotonicity_audit,
+    oracle_prevision,
+    oracle_probability,
+)
+
+
+def fractional_layered(rng, u, depth):
+    """Layers on a shuffled split of the worlds, with masses of mixed denominators."""
+    n = u.size
+    order = rng.sample(range(n), n)
+    bounds = [0, *sorted(rng.sample(range(1, n), depth - 1)), n]
+    layers = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        weights = {i: Fraction(rng.randint(1, 9), rng.randint(1, 7)) for i in order[lo:hi]}
+        total = sum(weights.values())
+        layers.append([weights.get(i, Fraction(0)) / total for i in range(n)])
+    return LayeredProbability(u, layers)
+
+
+def fractional_gamble(rng, u):
+    return Gamble(u, [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(u.size)])
+
+
+def nonempty_mask(rng, within):
+    """A random nonempty subset of the worlds of ``within``."""
+    while True:
+        mask = rng.getrandbits(within.bit_length()) & within
+        if mask:
+            return mask
+
+
+class TestEvaluatorsAgainstOracle:
+    def test_seeded_values_equal(self):
+        zero_first_layer = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            u = make_universe(rng.randint(1, 7))
+            lp = fractional_layered(rng, u, rng.randint(1, min(3, u.size)))
+            outside_first = u.omega.mask & ~lp.support(0).mask
+            for _ in range(12):
+                if outside_first and rng.random() < 0.5:
+                    b = nonempty_mask(rng, outside_first)
+                    zero_first_layer += 1
+                else:
+                    b = nonempty_mask(rng, u.omega.mask)
+                ce = ConditionalEvent(Event(u, rng.getrandbits(u.size)), Event(u, b))
+                cg = ConditionalGamble(fractional_gamble(rng, u), Event(u, b))
+                assert lp.probability(ce) == oracle_probability(lp, ce)
+                assert lp.value(ce) == oracle_probability(lp, ce)
+                assert lp.prevision(ConditionalGamble.from_event(ce)) == oracle_probability(lp, ce)
+                assert lp.prevision(cg) == oracle_prevision(lp, cg)
+                assert lp.value(cg.payoff) == oracle_prevision(
+                    lp, ConditionalGamble(cg.payoff, u.omega)
+                )
+                assert lp.value(Event(u, b)) == oracle_probability(
+                    lp, ConditionalEvent(Event(u, b), u.omega)
+                )
+        assert zero_first_layer > 500
+
+    def test_credal_envelopes_equal(self):
+        for seed in range(100):
+            rng = random.Random(seed)
+            u = make_universe(rng.randint(2, 6))
+            members = [
+                fractional_layered(rng, u, rng.randint(1, min(3, u.size)))
+                for _ in range(rng.randint(1, 4))
+            ]
+            credal = CredalSet(members)
+            for _ in range(8):
+                cg = ConditionalGamble(fractional_gamble(rng, u), Event(u, nonempty_mask(rng, u.omega.mask)))
+                values = [oracle_prevision(m, cg) for m in members]
+                assert credal.lower(cg) == min(values)
+                assert credal.upper(cg) == max(values)
+
+    def test_layers_stay_fractions(self):
+        u = make_universe(3)
+        lp = LayeredProbability(u, [["1/2", "1/3", "1/6"]])
+        assert lp.layers == ((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),)
+        assert all(type(m) is Fraction for m in lp.layers[0])
+
+    @pytest.mark.parametrize(
+        "masses",
+        [["1/2", "1/3", "1/7"], ["1/2", "1/3", "1/5"], ["2/3", "2/3", "-1/3"]],
+    )
+    def test_mixed_denominators_must_sum_to_one(self, masses):
+        with pytest.raises(ValidationError):
+            LayeredProbability(make_universe(3), [masses])
+
+
+RELATIONS = ("disjoint", "nested", "equal", "overlap")
+
+
+def conditioning_pair(rng, u, relation):
+    full = u.omega.mask
+    while True:
+        b = nonempty_mask(rng, full)
+        if relation == "equal":
+            return b, b
+        if relation == "nested":
+            d = nonempty_mask(rng, b)
+            return (b, d) if rng.random() < 0.5 else (d, b)
+        if relation == "disjoint":
+            if b != full:
+                return b, nonempty_mask(rng, full & ~b)
+        else:
+            d = nonempty_mask(rng, full)
+            if b & d and b != d and not (b & ~d == 0 or d & ~b == 0):
+                return b, d
+
+
+class TestGnKernelAgainstOracle:
+    def test_seeded_pairs_equal(self):
+        seen = {(relation, verdict): 0 for relation in RELATIONS for verdict in (False, True)}
+        for seed in range(400):
+            rng = random.Random(seed)
+            u = make_universe(rng.randint(3, 7))
+            for relation in RELATIONS:
+                b, d = conditioning_pair(rng, u, relation)
+                x = fractional_gamble(rng, u)
+                if rng.random() < 0.5:
+                    y = fractional_gamble(rng, u)
+                else:
+                    # raise Y so that the pair is often related
+                    y = Gamble(u, [v + Fraction(rng.randint(0, 12), rng.randint(1, 2)) for v in x.values])
+                xb = ConditionalGamble(x, Event(u, b))
+                yd = ConditionalGamble(y, Event(u, d))
+                for left, right in ((xb, yd), (yd, xb)):
+                    verdict = gn_leq_gambles(left, right)
+                    assert verdict == oracle_gn_leq_gambles(left, right), (left, right)
+                    seen[relation, verdict] += 1
+        assert min(seen.values()) >= 20, seen
+
+
+class TestAuditAgainstOracle:
+    def test_seeded_audits_equal(self):
+        total = 0
+        for seed in range(150):
+            rng = random.Random(seed)
+            u = make_universe(rng.randint(2, 6))
+            entries = {}
+            for _ in range(rng.randint(2, 25)):
+                b = Event(u, nonempty_mask(rng, u.omega.mask))
+                if rng.random() < 0.4:
+                    gamble = ConditionalGamble.from_event(
+                        ConditionalEvent(Event(u, rng.getrandbits(u.size)), b)
+                    )
+                else:
+                    gamble = ConditionalGamble(fractional_gamble(rng, u), b)
+                entries.setdefault(gamble, Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+            assessment = Assessment(tuple(entries.items()), kind="lower")
+            violations = monotonicity_audit(assessment)
+            assert violations == oracle_monotonicity_audit(assessment)
+            total += len(violations)
+        assert total > 100

@@ -41,3 +41,23 @@ def test_public_surface_snapshot():
     # A name enters or leaves the package's public API only on purpose:
     # update this list in the same change.
     assert sorted(gnprob.__all__) == sorted(PUBLIC_NAMES)
+
+
+# The standard library modules the package imports. The library has no
+# third-party dependencies, and a new import adds to the start-up time of
+# every command, so the set changes only on purpose.
+STDLIB_IMPORTS = {
+    "__future__", "argparse", "dataclasses", "enum", "fractions", "json",
+    "math", "random", "sys", "typing",
+}
+
+
+def test_imports_pinned():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    assert found == STDLIB_IMPORTS
