@@ -24,7 +24,10 @@ conditioning event (defaults to the sure event) and a value.
 
 Rational literals in a file may have at most ``MAX_LITERAL_DIGITS``
 digits and an exponent of at most that size, so that a short literal
-such as "1e-3000000" cannot expand into a huge number.
+such as "1e-3000000" cannot expand into a huge number; JSON true and
+false are not rationals. A universe may have at most ``MAX_WORLDS``
+worlds, and ``sample`` takes 1 to ``MAX_WORLDS`` worlds, 1 to
+``MAX_MEMBERS`` members and 1 to ``MAX_LAYERS`` layers.
 
 Commands: check, gn, extend, audit, bounds, sample. Exit status is 0
 when the queried property holds (consistent, no violations), 1 when it
@@ -79,6 +82,9 @@ EXIT_INTERNAL = 3
 
 MAX_LITERAL_DIGITS = 1000
 _INTEGER_LIMIT = 10**MAX_LITERAL_DIGITS
+MAX_WORLDS = 1024
+MAX_MEMBERS = 256
+MAX_LAYERS = MAX_WORLDS  # a layer holds at least one world
 
 
 def _is_names(spec) -> bool:
@@ -88,7 +94,8 @@ def _is_names(spec) -> bool:
 def _check_literal(value, where: str) -> None:
     """Refuse a rational literal from a problem file that has more than
     MAX_LITERAL_DIGITS digits, or an exponent above that, before it is
-    expanded into a Fraction."""
+    expanded into a Fraction. JSON true and false are refused too: Python
+    reads them as the integers 1 and 0."""
     if isinstance(value, str):
         if len(value) <= MAX_LITERAL_DIGITS and "e" not in value and "E" not in value:
             return
@@ -100,6 +107,8 @@ def _check_literal(value, where: str) -> None:
                 f"{where}: rational literal with more than {MAX_LITERAL_DIGITS} digits "
                 f"or an exponent above {MAX_LITERAL_DIGITS}"
             )
+    elif isinstance(value, bool):
+        raise ValidationError(f"{where}: {json.dumps(value)} is not a rational literal")
     elif isinstance(value, int) and abs(value) >= _INTEGER_LIMIT:
         raise ValidationError(f"{where}: integer has more than {MAX_LITERAL_DIGITS} digits")
 
@@ -130,6 +139,8 @@ class Problem:
             raise ValidationError("problem file: missing 'universe'") from None
         if not _is_names(worlds):
             raise ValidationError("universe: must be a list of world names")
+        if len(worlds) > MAX_WORLDS:
+            raise ValidationError(f"universe: {len(worlds)} worlds exceed the cap of {MAX_WORLDS}")
         try:
             universe = Universe(tuple(worlds))
         except GnprobError as exc:
@@ -208,10 +219,15 @@ class Problem:
     def _layered_from_spec(self, spec, where: str) -> LayeredProbability:
         if not isinstance(spec, list) or not all(isinstance(layer, dict) for layer in spec):
             raise ValidationError(f"{where}: must be a list of world-to-mass objects")
+        worlds = self.universe.worlds
+        known = set(worlds)
         for layer in spec:
             for mass in layer.values():
                 _check_literal(mass, where)
-        layers = [[layer.get(w, 0) for w in self.universe.worlds] for layer in spec]
+            if not layer.keys() <= known:
+                unknown = next(w for w in layer if w not in known)
+                raise ValidationError(f"{where}: unknown world {unknown!r}")
+        layers = [[layer.get(w, 0) for w in worlds] for layer in spec]
         try:
             return LayeredProbability(self.universe, layers)
         except GnprobError as exc:
@@ -630,6 +646,13 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    for flag, value, cap in (
+        ("--worlds", args.worlds, MAX_WORLDS),
+        ("--members", args.members, MAX_MEMBERS),
+        ("--layers", args.layers, MAX_LAYERS),
+    ):
+        if not 1 <= value <= cap:
+            raise ValidationError(f"{flag}: {value} is outside 1..{cap}")
     universe = Universe(tuple(f"w{i + 1}" for i in range(args.worlds)))
     credal = random_credal(args.seed, universe, args.members, args.layers)
     fragment = {

@@ -14,19 +14,35 @@ condition, whose gains have nonnegative stakes and no bet against.
 
 An assessment is inconsistent for a class exactly when some gain built
 from its entries under the class stake pattern is strictly negative
-everywhere on the union of the conditioning events involved. Because
-that union depends on which entries take part, the checker enumerates
-every nonempty subfamily of entries (and, for the classes with a bet
-against, every choice of the entry bet against) and solves one small
-exact-rational LP per cell. Every cell is the same LP: maximize a margin
-eps subject to sum_j x_j c_j(w) + eps <= r(w) at each world w of the
-subfamily's conditioning union, with x >= 0 and sum_j x_j at most (or,
-for ``convex``, exactly) 1. The classes differ only in their stake
-columns c_j, their right-hand side r and that normalisation; the
-``1convex`` search needs no LP. A strictly positive optimum yields a
-witness gain, re-checked by direct evaluation before it is returned.
-Gains are positively homogeneous in the stakes, so the normalization
-loses no violations.
+everywhere on the union of the conditioning events involved.
+
+Sure loss, dF and W are decided by zero-layer rounds (Biazzo & Gilio,
+IJAR 24, 2000; Walley, Pelessoni & Vicig, J. Statist. Plann. Inference
+126, 2004). A round is one exact LP over masses alpha(w) >= 0 on the
+union of the live entries' conditioning events, with total at most 1:
+every live entry must have sum_{w in B_j} alpha(w) c_j(w) >= 0, where
+c_j = X_j - v_j on B_j; dF asks == 0 of every entry and W of the entry
+under test. Entries whose conditioning event meets the support of
+alpha are settled, the rest go on to the next round, and a round that
+can give mass to no world stalls. By the alternative theorem a stall
+is exactly a gain over the live entries that is strictly negative on
+their union, so the assessment is inconsistent; when every entry is
+settled it is consistent. Sure loss and dF take one sequence of at most
+m rounds. W takes the sure-loss sequence and then, for each entry in
+turn, a sequence that stops once that entry is settled; while it is
+live a round first maximises the mass on its conditioning event.
+
+``convex`` keeps the subfamily grid: one LP per (subfamily, entry bet
+against) cell, 2^m - 1 subfamilies. Every cell, and every witness, is
+the same gain LP: maximize a margin eps subject to sum_j x_j c_j(w) +
+eps <= r(w) at each world w of the chosen entries' conditioning union,
+with x >= 0 and sum_j x_j at most (or, for ``convex``, exactly) 1. The
+classes differ only in their stake columns c_j, their right-hand side r
+and that normalisation. A strictly positive optimum yields a witness
+gain, re-checked by direct evaluation before it is returned. Gains are
+positively homogeneous in the stakes, so the normalization loses no
+violations. The ``1convex`` search needs no LP: it scans ordered pairs
+of entries over their coefficient rows scaled to integers.
 
 Entries listed more than once in a gain collapse by summing stakes,
 which leaves the gain unchanged; assessments therefore store each
@@ -37,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .algebra import ConditionalEvent, ConditionalGamble, Event, Gamble, Universe
@@ -133,7 +150,7 @@ def conjugate(assessment: Assessment) -> Assessment:
 
 
 # ---------------------------------------------------------------------------
-# The LP grid
+# Entry data, gain LPs and the convex grid
 
 
 def _entry_data(entries):
@@ -151,6 +168,13 @@ def _entry_data(entries):
             ]
         )
     return masks, coeffs
+
+
+def _integer_rows(coeffs):
+    """The coefficient vectors times one positive lcm of all their
+    denominators, as ints: every sign and every difference keeps its sign."""
+    scale = lcm(*(v.denominator for row in coeffs for v in row))
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in coeffs]
 
 
 def _world_indices(mask: int, n: int):
@@ -193,42 +217,125 @@ def _stakes(cls, x, t):
     return x, (_ONE if cls == "convex" else _ZERO)
 
 
+class _Cells:
+    """The gain LP of any (chosen entries, entry bet against) cell of one
+    assessment, solved over the union of the chosen conditioning events."""
+
+    def __init__(self, entries, masks, coeffs):
+        self.entries = entries
+        self.masks = masks
+        self.coeffs = coeffs
+        self.negated = [[-v for v in c] for c in coeffs]
+        self.n = entries[0][0].universe.size
+        self.zero = [_ZERO] * self.n
+
+    def stakes(self, cls, chosen, against):
+        """(stakes in favour, stake against) of a violating gain, or None."""
+        union = 0
+        for k in chosen:
+            union |= self.masks[k]
+        cell = _cell(cls, chosen, against, self.coeffs, self.negated, self.zero)
+        x = _gain_lp(*cell, _world_indices(union, self.n))
+        return None if x is None else _stakes(cls, x, len(chosen))
+
+    def gain(self, chosen, against, favour, sigma) -> GainSpec:
+        """The gain with these stakes; the entry bet against is a last term."""
+        terms = tuple(GainTerm(s, *self.entries[k]) for s, k in zip(favour, chosen))
+        if sigma > 0:
+            return GainSpec(terms + (GainTerm(sigma, *self.entries[against]),), against=len(terms))
+        return GainSpec(terms)
+
+
 def _grid_search(entries, cls) -> Optional[GainSpec]:
-    """The first violating gain over (subfamily, entry bet against) cells."""
-    masks, coeffs = _entry_data(entries)
-    negated = [[-v for v in c] for c in coeffs]
-    n = entries[0][0].universe.size
-    zero = [_ZERO] * n
+    """The first violating gain over (subfamily, entry bet against) cells:
+    2^m - 1 gain LPs, or m 2^(m-1) with a bet against."""
+    cells = _Cells(entries, *_entry_data(entries))
     m = len(entries)
     for subset in range(1, 1 << m):
         chosen = [k for k in range(m) if (subset >> k) & 1]
-        union = 0
-        for k in chosen:
-            union |= masks[k]
-        worlds = _world_indices(union, n)
         for against in chosen if cls in ("W", "convex") else (None,):
-            x = _gain_lp(*_cell(cls, chosen, against, coeffs, negated, zero), worlds)
-            if x is None:
-                continue
-            favour, sigma = _stakes(cls, x, len(chosen))
-            terms = tuple(GainTerm(s, *entries[k]) for s, k in zip(favour, chosen))
-            if sigma > 0:
-                return GainSpec(terms + (GainTerm(sigma, *entries[against]),), against=len(terms))
-            return GainSpec(terms)
+            stakes = cells.stakes(cls, chosen, against)
+            if stakes is not None:
+                return cells.gain(chosen, against, *stakes)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Zero-layer rounds
+
+
+def _rounds(masks, rows, n, both_ways, j0):
+    """One sequence of zero-layer rounds; the live entries at a stall, or
+    None once every entry (or, with ``j0``, that entry) is settled.
+
+    A round looks for masses alpha >= 0 on the union of the live
+    conditioning events, with total at most 1, under which no live entry
+    loses on average: sum over B_j of alpha(w) c_j(w) >= 0, and == 0 for
+    every entry when ``both_ways``, for ``j0`` alone otherwise. It
+    maximises alpha(B_j0) while ``j0`` is live, then alpha(union). The
+    live entries whose conditioning event meets the support of alpha are
+    settled; a round that can give mass to no world stalls.
+    """
+    live = list(range(len(masks)))
+    while live:
+        union = 0
+        for j in live:
+            union |= masks[j]
+        worlds = _world_indices(union, n)
+        equal = live if both_ways else [] if j0 is None else [j0]
+        constraints = [([-rows[j][w] for w in worlds], "<=", 0) for j in live]
+        constraints += [([rows[j][w] for w in worlds], "<=", 0) for j in equal]
+        constraints.append(([1] * len(worlds), "<=", 1))
+        if j0 is not None:
+            target = [(masks[j0] >> w) & 1 for w in worlds]
+            if solve_lp(target, constraints).objective > 0:
+                return None
+        result = solve_lp([1] * len(worlds), constraints)
+        if result.objective == 0:
+            return live
+        support = 0
+        for w, mass in zip(worlds, result.solution):
+            if mass:
+                support |= 1 << w
+        live = [j for j in live if not masks[j] & support]
+    return None
+
+
+def _round_search(entries, cls) -> Optional[GainSpec]:
+    """Sure loss and dF in one sequence of rounds; W in the sure-loss
+    sequence and then one sequence per entry bet against. A stall yields
+    the witness: the cell LP on the stalled entries, solved again on the
+    entries it stakes."""
+    masks, coeffs = _entry_data(entries)
+    rows = _integer_rows(coeffs)
+    n = entries[0][0].universe.size
+    sequences = [("asl" if cls == "W" else cls, None)]
+    if cls == "W":
+        sequences += [("W", j0) for j0 in range(len(entries))]
+    for stage, j0 in sequences:
+        live = _rounds(masks, rows, n, stage == "dF", j0)
+        if live is None:
+            continue
+        cells = _Cells(entries, masks, coeffs)
+        stakes = cells.stakes(stage, live, j0)
+        if stakes is None:
+            raise AssertionError("a stalled round has a violating gain")
+        chosen = [k for k, s in zip(live, stakes[0]) if s or k == j0]
+        return cells.gain(chosen, j0, *cells.stakes(stage, chosen, j0))
     return None
 
 
 def _one_convex_search(entries) -> Optional[GainSpec]:
     """Single-pair gains with unit stakes: one bet for, one bet against."""
     masks, coeffs = _entry_data(entries)
+    rows = _integer_rows(coeffs)
     n = entries[0][0].universe.size
     for j in range(len(entries)):
         for i in range(len(entries)):
             if i == j:
                 continue
-            union = masks[i] | masks[j]
-            worst = max(coeffs[i][w] - coeffs[j][w] for w in _world_indices(union, n))
-            if worst < 0:
+            left, right = rows[i], rows[j]
+            if all(left[w] < right[w] for w in _world_indices(masks[i] | masks[j], n)):
                 terms = (
                     GainTerm(_ONE, entries[i][0], entries[i][1]),
                     GainTerm(_ONE, entries[j][0], entries[j][1]),
@@ -275,8 +382,10 @@ def _decide(assessment: Assessment, cls: str) -> Verdict:
 
     if cls == "1convex":
         witness = _one_convex_search(entries)
-    else:
+    elif cls == "convex":
         witness = _grid_search(entries, cls)
+    else:
+        witness = _round_search(entries, cls)
 
     if witness is None:
         return Verdict(True, None, centering)
@@ -289,9 +398,14 @@ def check(assessment: Assessment, consistency: Optional[str] = None) -> Verdict:
     """Decide consistency of an assessment for the given class.
 
     Upper assessments are conjugated first, so a single lower-prevision
-    gain form covers everything. The witness, when present, is the first
-    violating gain in a fixed enumeration order of (subfamily, entry bet
-    against) cells, with its conditioned maximum strictly negative.
+    gain form covers everything. The witness, when present, has its
+    conditioned maximum strictly negative. For dF and W it comes from
+    the stalled round: the gain LP on the entries still live there (with
+    no bet against if W already fails as sure loss, else a bet against
+    the entry under test), solved again on the entries it gives a nonzero
+    stake plus the entry under test. For convex it is the first violating
+    gain in a fixed enumeration order of (subfamily, entry bet against)
+    cells, and for 1convex the first violating ordered pair.
     """
     return _decide(assessment, normalize_class(consistency or assessment.consistency or "W"))
 
@@ -299,7 +413,8 @@ def check(assessment: Assessment, consistency: Optional[str] = None) -> Verdict:
 def check_avoiding_sure_loss(assessment: Assessment) -> Verdict:
     """The weaker no-sure-loss condition: only bets in favour, so a
     violation is a nonnegative-stake gain strictly negative on its
-    conditioning union."""
+    conditioning union. The witness is the gain LP on the entries live
+    at the stalled round, solved again on the entries it stakes."""
     return _decide(assessment, "asl")
 
 

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, rendering, determinism, round trips."""
 
 import json
+import re
 import subprocess
 import sys
 import time
@@ -128,6 +129,8 @@ class TestCheckCommand:
                 {"universe": ["a", "b"], "assessments": {"x": {"entries": [{"event": ["a"], "given": [], "value": "1"}]}}},
                 "assessments.x.entries[0]:",
             ),
+            ({"universe": ["a", "b"], "layered": {"L": [{"a": "1", "zz": "5"}, {"b": "1"}]}}, "layered.L: unknown world 'zz'"),
+            ({"universe": ["a", "b"], "credal": {"C": [[{"a": "1"}, {"b": "1"}], [{"b": "1", "zz": "0"}, {"a": "1"}]]}}, "credal.C[1]: unknown world 'zz'"),
         ],
     )
     def test_bad_shapes_exit_two_with_location(self, data, location, tmp_path, capsys):
@@ -175,6 +178,44 @@ class TestCheckCommand:
             {"universe": ["a"], "gambles": {"X": ["1e1000"], "Y": ["9" * 1000]}}
         )
         assert problem.gambles["X"].values[0] == 10**1000
+
+    @pytest.mark.parametrize(
+        "data, location",
+        [
+            ({"universe": ["a"], "gambles": {"X": {"a": True}}}, "gambles.X:"),
+            ({"universe": ["a"], "gambles": {"X": [False]}}, "gambles.X:"),
+            ({"universe": ["a"], "layered": {"L": [{"a": True}]}}, "layered.L:"),
+            ({"universe": ["a"], "credal": {"C": [[{"a": True}]]}}, "credal.C[0]:"),
+            (
+                {"universe": ["a"], "assessments": {"x": {"entries": [{"event": ["a"], "value": True}]}}},
+                "assessments.x.entries[0]:",
+            ),
+        ],
+        ids=["payoff-object", "payoff-list", "layer-mass", "credal-mass", "entry-value"],
+    )
+    def test_json_booleans_are_not_rationals(self, data, location):
+        with pytest.raises(ValidationError, match=f"^{re.escape(location)} (true|false) is not a rational literal"):
+            Problem.from_dict(data)
+
+    def test_universe_cap(self):
+        worlds = [f"w{i}" for i in range(cli.MAX_WORLDS + 1)]
+        with pytest.raises(ValidationError, match=f"^universe: {cli.MAX_WORLDS + 1} worlds exceed"):
+            Problem.from_dict({"universe": worlds})
+        assert Problem.from_dict({"universe": worlds[:-1]}).universe.size == cli.MAX_WORLDS
+
+    @pytest.mark.parametrize(
+        "flag, cap", [("--worlds", cli.MAX_WORLDS), ("--members", cli.MAX_MEMBERS), ("--layers", cli.MAX_LAYERS)]
+    )
+    def test_sample_caps(self, flag, cap, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generated past a cap")
+
+        monkeypatch.setattr(cli, "Universe", refuse)
+        monkeypatch.setattr(cli, "random_credal", refuse)
+        for value in (cap + 1, 100_000_000, 0, -3):
+            code, out, err = run_cli(["sample", flag, str(value)], capsys)
+            assert (code, out) == (2, "")
+            assert err == f"error: {flag}: {value} is outside 1..{cap}\n"
 
     def test_unexpected_exception_is_internal_error(self, monkeypatch, capsys):
         def broken(*args, **kwargs):

@@ -1,0 +1,211 @@
+"""Zero-layer rounds against the subfamily grid.
+
+Sure loss, dF and W are decided by sequences of zero-layer rounds, each
+one small LP over world masses. ``coherence._grid_search`` enumerates
+every (subfamily, entry bet against) cell instead and serves here as the
+oracle: the two must give the same verdict on every instance.
+"""
+
+import random
+import time
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gnprob import (
+    Assessment,
+    ConditionalGamble,
+    Gamble,
+    asl_monotonicity_counterexample,
+    check,
+    check_avoiding_sure_loss,
+    coherence,
+    conditioned_max,
+    conjugate,
+    random_credal,
+    random_layered,
+)
+from conftest import make_universe, random_conditional_event, random_conditional_gamble
+
+ROUND_CLASSES = ("asl", "dF", "W")
+
+
+def decide(assessment, cls):
+    if cls == "asl":
+        return check_avoiding_sure_loss(assessment)
+    return check(assessment, cls)
+
+
+def grid_consistent(assessment, cls):
+    if assessment.kind == "upper":
+        assessment = conjugate(assessment)
+    return coherence._grid_search(list(assessment.entries), cls) is None
+
+
+def seeded_assessment(seed):
+    """2-5 worlds, 1-5 distinct entries (event indicators or gambles),
+    valued at an envelope, perturbed from it, or arbitrarily."""
+    rng = random.Random(seed)
+    u = make_universe(rng.randint(2, 5))
+    kind = rng.choice(("lower", "upper", "precise"))
+    if kind == "precise":
+        measure = random_layered(rng.randrange(10**6), u, max_layers=3)
+        envelope = measure.value
+    else:
+        credal = random_credal(rng.randrange(10**6), u, rng.randint(1, 3), max_layers=3)
+        envelope = credal.lower if kind == "lower" else credal.upper
+    gambles = []
+    for _ in range(rng.randint(1, 5)):
+        if rng.random() < 0.5:
+            gamble = ConditionalGamble.from_event(random_conditional_event(rng, u))
+        else:
+            gamble = random_conditional_gamble(rng, u)
+        if gamble not in gambles:
+            gambles.append(gamble)
+    mode = rng.choice(("envelope", "perturbed", "arbitrary"))
+    entries = []
+    for gamble in gambles:
+        if mode == "arbitrary":
+            value = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        else:
+            value = envelope(gamble)
+            if mode == "perturbed" and rng.random() < 0.5:
+                value += Fraction(rng.choice((-1, 1)), rng.randint(2, 12))
+        entries.append((gamble, value))
+    return Assessment(tuple(entries), kind=kind)
+
+
+@pytest.mark.parametrize("cls", ROUND_CLASSES)
+def test_rounds_agree_with_the_grid(cls):
+    tally = {True: 0, False: 0}
+    kinds = set()
+    for seed in range(320):
+        assessment = seeded_assessment(1000 * ROUND_CLASSES.index(cls) + seed)
+        verdict = decide(assessment, cls)
+        assert verdict.consistent == grid_consistent(assessment, cls), seed
+        if not verdict.consistent:
+            assert conditioned_max(verdict.witness) < 0
+        tally[verdict.consistent] += 1
+        kinds.add(assessment.kind)
+    assert min(tally.values()) >= 100, tally
+    assert kinds == {"lower", "upper", "precise"}
+
+
+VALUES = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+@st.composite
+def small_assessments(draw):
+    u = make_universe(draw(st.integers(2, 4)))
+    top = (1 << u.size) - 1
+    entries = {}
+    for _ in range(draw(st.integers(1, 4))):
+        payoff = Gamble(u, [draw(VALUES) for _ in range(u.size)])
+        given_mask = draw(st.integers(1, top))
+        gamble = ConditionalGamble(payoff, u.event([u.worlds[i] for i in range(u.size) if given_mask >> i & 1]))
+        entries.setdefault(gamble, draw(VALUES))
+    kind = draw(st.sampled_from(("lower", "upper", "precise")))
+    return Assessment(tuple(entries.items()), kind=kind)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_assessments(), st.sampled_from(ROUND_CLASSES))
+def test_rounds_agree_with_the_grid_property(assessment, cls):
+    verdict = decide(assessment, cls)
+    assert verdict.consistent == grid_consistent(assessment, cls)
+    if not verdict.consistent:
+        assert conditioned_max(verdict.witness) < 0
+
+
+def sixteen_entries(seed, precise):
+    """16 distinct conditional events on 6 worlds, valued by a layered
+    probability (precise) or a credal lower envelope."""
+    rng = random.Random(seed)
+    u = make_universe(6)
+    if precise:
+        evaluate = random_layered(seed, u, max_layers=3).value
+    else:
+        evaluate = random_credal(seed, u, 3, max_layers=3).lower
+    gambles = []
+    while len(gambles) < coherence.MAX_ENTRIES:
+        gamble = ConditionalGamble.from_event(random_conditional_event(rng, u))
+        if gamble not in gambles:
+            gambles.append(gamble)
+    return Assessment(tuple((g, evaluate(g)) for g in gambles), kind="precise" if precise else "lower")
+
+
+@pytest.fixture
+def lp_count(monkeypatch):
+    calls = []
+    solve = coherence.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(coherence, "solve_lp", counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sixteen_entry_w_check_takes_a_linear_number_of_lps(seed, lp_count):
+    assessment = sixteen_entries(seed, precise=False)
+    start = time.perf_counter()
+    verdict = check(assessment, "W")
+    elapsed = time.perf_counter() - start
+    assert verdict.consistent
+    assert len(lp_count) <= 2 * 16 + 2
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("cls", ("asl", "dF"))
+def test_sixteen_entry_single_sequence_takes_at_most_sixteen_lps(cls, seed, lp_count):
+    base = sixteen_entries(seed, precise=cls == "dF")
+    rng = random.Random(seed)
+    bumped = tuple((g, v + Fraction(1, rng.randint(2, 30))) for g, v in base.entries)
+    for assessment in (base, Assessment(bumped, kind=base.kind)):
+        lp_count.clear()
+        decide(assessment, cls)
+        assert 1 <= len(lp_count) <= 16
+    assert decide(base, cls).consistent
+
+
+def test_stall_with_the_entry_under_test_live_bets_against_it():
+    # E is valued 3/4 and the larger F 1/2: no sure loss, so the W check
+    # stalls in the sequence for F, and the witness bets against F.
+    assessment, _ = asl_monotonicity_counterexample()
+    assert check_avoiding_sure_loss(assessment).consistent
+    verdict = check(assessment, "W")
+    assert not verdict.consistent
+    against = verdict.witness.terms[verdict.witness.against]
+    assert (against.gamble, against.value) == assessment.entries[1]
+    assert against.stake > 0
+    assert conditioned_max(verdict.witness) < 0
+
+
+@pytest.mark.parametrize("cls", ("asl", "dF", "W", "convex", "1convex"))
+def test_entry_cap_holds_for_every_class(cls):
+    u = make_universe(3)
+    entries = tuple(
+        (ConditionalGamble(Gamble.constant(u, i), u.omega), Fraction(i))
+        for i in range(coherence.MAX_ENTRIES + 1)
+    )
+    with pytest.raises(coherence.EnumerationLimitError):
+        decide(Assessment(entries), cls)
+
+
+def test_w_reports_a_sure_loss_without_a_bet_against():
+    # W runs the sure-loss sequence first, so an assessment that incurs
+    # sure loss gets the sure-loss witness, which has no bet against.
+    found = 0
+    for seed in range(5000, 5100):
+        assessment = seeded_assessment(seed)
+        asl = check_avoiding_sure_loss(assessment)
+        if not asl.consistent:
+            found += 1
+            witness = check(assessment, "W").witness
+            assert (witness, witness.against) == (asl.witness, None)
+    assert found >= 20
