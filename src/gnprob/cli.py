@@ -22,6 +22,13 @@ either names of layered probabilities or inline layer lists. Assessment
 entries name an event or a gamble (or give one inline), an optional
 conditioning event (defaults to the sure event) and a value.
 
+An assessment object takes only the keys "kind", "class" and "entries",
+and an entry only "event", "gamble", "given" and "value", with one of
+"event" and "gamble" but not both; a misspelt key would otherwise change
+the answer silently, so any other key is refused, as is a layer key that
+names no world of the universe. Every refusal names its place in the
+file, such as ``assessments.book.entries[0]: unknown key 'gven'``.
+
 Rational literals in a file may have at most ``MAX_LITERAL_DIGITS``
 digits and an exponent of at most that size, so that a short literal
 such as "1e-3000000" cannot expand into a huge number; JSON true and
@@ -113,6 +120,32 @@ def _check_literal(value, where: str) -> None:
         raise ValidationError(f"{where}: integer has more than {MAX_LITERAL_DIGITS} digits")
 
 
+def _check_keys(spec: dict, known, noun: str, where: str) -> None:
+    """Refuse the first key of ``spec``, in document order, that is not in ``known``."""
+    if not spec.keys() <= known:
+        unknown = next(key for key in spec if key not in known)
+        raise ValidationError(f"{where}: unknown {noun} {unknown!r}")
+
+
+def _located(where: str, build, *args):
+    """``build(*args)``, with a library error re-raised under its place in the file."""
+    try:
+        return build(*args)
+    except GnprobError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+
+
+def _named(table: dict, name: str, noun: str):
+    """The object called ``name`` in ``table``; an unknown name is a ValidationError."""
+    if name not in table:
+        raise ValidationError(f"unknown {noun} {name!r}")
+    return table[name]
+
+
+_ASSESSMENT_KEYS = frozenset({"kind", "class", "entries"})
+_ENTRY_KEYS = frozenset({"event", "gamble", "given", "value"})
+
+
 # ---------------------------------------------------------------------------
 # Problem files
 
@@ -133,90 +166,48 @@ class Problem:
     def from_dict(cls, data: dict) -> Problem:
         if not isinstance(data, dict):
             raise ValidationError("problem file: top level must be an object")
-        try:
-            worlds = data["universe"]
-        except KeyError:
-            raise ValidationError("problem file: missing 'universe'") from None
+        if "universe" not in data:
+            raise ValidationError("problem file: missing 'universe'")
+        worlds = data["universe"]
         if not _is_names(worlds):
             raise ValidationError("universe: must be a list of world names")
         if len(worlds) > MAX_WORLDS:
             raise ValidationError(f"universe: {len(worlds)} worlds exceed the cap of {MAX_WORLDS}")
-        try:
-            universe = Universe(tuple(worlds))
-        except GnprobError as exc:
-            raise ValidationError(f"universe: {exc}") from None
-        problem = cls(universe)
-
-        def section(key: str) -> dict:
-            spec = data.get(key, {})
-            if not isinstance(spec, dict):
+        problem = cls(_located("universe", Universe, tuple(worlds)))
+        for key, build in _SECTIONS:
+            specs = data.get(key, {})
+            if not isinstance(specs, dict):
                 raise ValidationError(f"{key}: must be an object")
-            return spec
-
-        for name, spec in section("events").items():
-            problem.events[name] = problem._event_from_spec(spec, f"events.{name}")
-        for name, spec in section("partitions").items():
-            if not isinstance(spec, list) or not all(_is_names(block) for block in spec):
-                raise ValidationError(
-                    f"partitions.{name}: must be a list of blocks, each a list of world names"
-                )
-            try:
-                blocks = tuple(universe.event(block) for block in spec)
-                problem.partitions[name] = Partition(universe, blocks)
-            except GnprobError as exc:
-                raise ValidationError(f"partitions.{name}: {exc}") from None
-        for name, spec in section("gambles").items():
-            problem.gambles[name] = problem._gamble_from_spec(spec, f"gambles.{name}")
-        for name, spec in section("layered").items():
-            problem.layered[name] = problem._layered_from_spec(spec, f"layered.{name}")
-        for name, spec in section("credal").items():
-            if not isinstance(spec, list):
-                raise ValidationError(f"credal.{name}: must be a list of members")
-            members = []
-            for i, member in enumerate(spec):
-                where = f"credal.{name}[{i}]"
-                if isinstance(member, str):
-                    if member not in problem.layered:
-                        raise ValidationError(f"{where}: unknown layered probability {member!r}")
-                    members.append(problem.layered[member])
-                else:
-                    members.append(problem._layered_from_spec(member, where))
-            try:
-                problem.credal[name] = CredalSet(members)
-            except GnprobError as exc:
-                raise ValidationError(f"credal.{name}: {exc}") from None
-        for name, spec in section("assessments").items():
-            problem.assessments[name] = problem._assessment_from_spec(
-                spec, f"assessments.{name}"
-            )
+            table = getattr(problem, key)
+            for name, spec in specs.items():
+                table[name] = build(problem, spec, f"{key}.{name}")
         return problem
 
-    def _event_from_spec(self, spec, where: str) -> Event:
-        try:
-            if isinstance(spec, str):
-                return self.resolve_event(spec)
-            if _is_names(spec):
-                return self.universe.event(spec)
-        except GnprobError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
+    def _event(self, spec, where: str) -> Event:
+        if isinstance(spec, str):
+            return _located(where, self.resolve_event, spec)
+        if _is_names(spec):
+            return _located(where, self.universe.event, spec)
         raise ValidationError(f"{where}: an event must be a list of world names or a name")
 
-    def _gamble_from_spec(self, spec, where: str) -> Gamble:
-        if isinstance(spec, (dict, list)):
-            for value in spec.values() if isinstance(spec, dict) else spec:
-                _check_literal(value, where)
-        elif not isinstance(spec, str):
+    def _partition(self, spec, where: str) -> Partition:
+        if not isinstance(spec, list) or not all(_is_names(block) for block in spec):
+            raise ValidationError(f"{where}: must be a list of blocks, each a list of world names")
+        blocks = tuple(_located(where, self.universe.event, block) for block in spec)
+        return _located(where, Partition, self.universe, blocks)
+
+    def _gamble(self, spec, where: str) -> Gamble:
+        if isinstance(spec, str):
+            return _located(where, self.resolve_gamble, spec)
+        if not isinstance(spec, (dict, list)):
             raise ValidationError(
                 f"{where}: a gamble must be a world-to-value object, a list of values or a name"
             )
-        try:
-            if isinstance(spec, str):
-                return self.resolve_gamble(spec)
-            return Gamble(self.universe, spec)
-        except GnprobError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
+        for value in spec.values() if isinstance(spec, dict) else spec:
+            _check_literal(value, where)
+        return _located(where, Gamble, self.universe, spec)
 
-    def _layered_from_spec(self, spec, where: str) -> LayeredProbability:
+    def _layered(self, spec, where: str) -> LayeredProbability:
         if not isinstance(spec, list) or not all(isinstance(layer, dict) for layer in spec):
             raise ValidationError(f"{where}: must be a list of world-to-mass objects")
         worlds = self.universe.worlds
@@ -224,85 +215,77 @@ class Problem:
         for layer in spec:
             for mass in layer.values():
                 _check_literal(mass, where)
-            if not layer.keys() <= known:
-                unknown = next(w for w in layer if w not in known)
-                raise ValidationError(f"{where}: unknown world {unknown!r}")
+            _check_keys(layer, known, "world", where)
         layers = [[layer.get(w, 0) for w in worlds] for layer in spec]
-        try:
-            return LayeredProbability(self.universe, layers)
-        except GnprobError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
+        return _located(where, LayeredProbability, self.universe, layers)
 
-    def _assessment_from_spec(self, spec, where: str) -> Assessment:
+    def _credal(self, spec, where: str) -> CredalSet:
+        if not isinstance(spec, list):
+            raise ValidationError(f"{where}: must be a list of members")
+        members = [
+            _located(f"{where}[{i}]", _named, self.layered, member, "layered probability")
+            if isinstance(member, str)
+            else self._layered(member, f"{where}[{i}]")
+            for i, member in enumerate(spec)
+        ]
+        return _located(where, CredalSet, members)
+
+    def _assessment(self, spec, where: str) -> Assessment:
         if not isinstance(spec, dict):
             raise ValidationError(f"{where}: must be an object")
-        kind = spec.get("kind", "precise")
-        consistency = spec.get("class")
+        _check_keys(spec, _ASSESSMENT_KEYS, "key", where)
         entry_specs = spec.get("entries", [])
         if not isinstance(entry_specs, list):
             raise ValidationError(f"{where}.entries: must be a list")
-        entries = []
-        for i, entry in enumerate(entry_specs):
-            at = f"{where}.entries[{i}]"
-            if not isinstance(entry, dict):
-                raise ValidationError(f"{at}: must be an object")
-            given = self.universe.omega
-            if "given" in entry:
-                given = self._event_from_spec(entry["given"], at)
-            if "event" in entry:
-                payoff = Gamble.indicator(self._event_from_spec(entry["event"], at))
-            elif "gamble" in entry:
-                payoff = self._gamble_from_spec(entry["gamble"], at)
-            else:
-                raise ValidationError(f"{at}: entry needs an 'event' or a 'gamble'")
-            if "value" not in entry:
-                raise ValidationError(f"{at}: missing 'value'")
-            _check_literal(entry["value"], at)
-            try:
-                entries.append((ConditionalGamble(payoff, given), as_fraction(entry["value"])))
-            except GnprobError as exc:
-                raise ValidationError(f"{at}: {exc}") from None
-        try:
-            return Assessment(tuple(entries), kind=kind, consistency=consistency)
-        except GnprobError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
+        entries = tuple(
+            self._entry(entry, f"{where}.entries[{i}]") for i, entry in enumerate(entry_specs)
+        )
+        return _located(where, Assessment, entries, spec.get("kind", "precise"), spec.get("class"))
+
+    def _entry(self, spec, where: str) -> tuple:
+        if not isinstance(spec, dict):
+            raise ValidationError(f"{where}: must be an object")
+        _check_keys(spec, _ENTRY_KEYS, "key", where)
+        if "event" in spec and "gamble" in spec:
+            raise ValidationError(f"{where}: an entry takes an 'event' or a 'gamble', not both")
+        given = self._event(spec["given"], where) if "given" in spec else self.universe.omega
+        if "event" in spec:
+            payoff = Gamble.indicator(self._event(spec["event"], where))
+        elif "gamble" in spec:
+            payoff = self._gamble(spec["gamble"], where)
+        else:
+            raise ValidationError(f"{where}: entry needs an 'event' or a 'gamble'")
+        if "value" not in spec:
+            raise ValidationError(f"{where}: missing 'value'")
+        _check_literal(spec["value"], where)
+        gamble = _located(where, ConditionalGamble, payoff, given)
+        return gamble, _located(where, as_fraction, spec["value"])
 
     # -- lookups ------------------------------------------------------------
 
     def resolve_event(self, name: str) -> Event:
-        if name not in self.events:
-            raise ValidationError(f"unknown event {name!r}")
-        return self.events[name]
+        return _named(self.events, name, "event")
 
     def resolve_gamble(self, name: str) -> Gamble:
-        if name not in self.gambles:
-            raise ValidationError(f"unknown gamble {name!r}")
-        return self.gambles[name]
+        return _named(self.gambles, name, "gamble")
 
     def resolve_partition(self, name: Optional[str]) -> Partition:
-        if name is None:
-            if len(self.partitions) == 1:
-                return next(iter(self.partitions.values()))
+        if name is not None:
+            return _named(self.partitions, name, "partition")
+        if len(self.partitions) != 1:
             raise ValidationError(
                 "the file declares zero or several partitions; pass --partition NAME"
             )
-        if name not in self.partitions:
-            raise ValidationError(f"unknown partition {name!r}")
-        return self.partitions[name]
+        return next(iter(self.partitions.values()))
 
-    def parse_conditional_event(self, text: str) -> ConditionalEvent:
-        """Parse 'A|B' (or 'A', conditioned on the sure event)."""
+    def parse_conditional(self, text: str, gambles: bool = False):
+        """Parse 'A|B' (or 'A', conditioned on the sure event) into a
+        conditional event, or with ``gambles`` into a conditional gamble
+        whose left part names a gamble."""
         left, _, right = text.partition("|")
-        conditioned = self.resolve_event(left.strip())
+        conditioned = (self.resolve_gamble if gambles else self.resolve_event)(left.strip())
         conditioning = self.resolve_event(right.strip()) if right else self.universe.omega
-        return ConditionalEvent(conditioned, conditioning)
-
-    def parse_conditional_gamble(self, text: str) -> ConditionalGamble:
-        """Parse 'X|B' (or 'X') with X a named gamble."""
-        left, _, right = text.partition("|")
-        payoff = self.resolve_gamble(left.strip())
-        conditioning = self.resolve_event(right.strip()) if right else self.universe.omega
-        return ConditionalGamble(payoff, conditioning)
+        return (ConditionalGamble if gambles else ConditionalEvent)(conditioned, conditioning)
 
     def lower_evaluator(self, name: str, side: str = "lower"):
         """An evaluator callable plus its envelope object, by name."""
@@ -314,44 +297,16 @@ class Problem:
             return (obj.lower if side == "lower" else obj.upper), obj
         raise ValidationError(f"unknown evaluator {name!r} (not layered, not credal)")
 
-    # -- serialization -------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        def event_spec(e: Event):
-            return list(e.worlds())
-
-        def assessment_spec(a: Assessment):
-            entries = []
-            for gamble, value in a.entries:
-                entries.append(
-                    {
-                        "gamble": {
-                            w: str(gamble.payoff.values[i])
-                            for i, w in enumerate(self.universe.worlds)
-                        },
-                        "given": list(gamble.conditioning.worlds()),
-                        "value": str(value),
-                    }
-                )
-            spec = {"kind": a.kind, "entries": entries}
-            if a.consistency is not None:
-                spec["class"] = a.consistency
-            return spec
-
-        return {
-            "universe": list(self.universe.worlds),
-            "events": {n: event_spec(e) for n, e in self.events.items()},
-            "partitions": {
-                n: [event_spec(b) for b in p.blocks] for n, p in self.partitions.items()
-            },
-            "gambles": {
-                n: {w: str(g.values[i]) for i, w in enumerate(self.universe.worlds)}
-                for n, g in self.gambles.items()
-            },
-            "layered": {n: _layered_spec(lp) for n, lp in self.layered.items()},
-            "credal": {n: [_layered_spec(m) for m in c.members] for n, c in self.credal.items()},
-            "assessments": {n: assessment_spec(a) for n, a in self.assessments.items()},
-        }
+# Built in this order, whatever the file's order: later sections refer to earlier ones by name.
+_SECTIONS = (
+    ("events", Problem._event),
+    ("partitions", Problem._partition),
+    ("gambles", Problem._gamble),
+    ("layered", Problem._layered),
+    ("credal", Problem._credal),
+    ("assessments", Problem._assessment),
+)
 
 
 def _layered_spec(lp: LayeredProbability) -> list[dict]:
@@ -373,10 +328,6 @@ def load_problem(path: str) -> Problem:
 
 # ---------------------------------------------------------------------------
 # Rendering
-
-
-def _format_event(e: Event) -> str:
-    return repr(e)
 
 
 def _witness_dict(witness: GainSpec) -> dict:
@@ -401,14 +352,12 @@ def _witness_dict(witness: GainSpec) -> dict:
     }
 
 
-def _print_witness(witness: GainSpec) -> None:
-    print(
-        f"witness: conditioned max = {conditioned_max(witness)} "
-        f"on {_format_event(witness.conditioning())}"
-    )
+def _witness_lines(witness: GainSpec) -> list[str]:
+    lines = [f"witness: conditioned max = {conditioned_max(witness)} on {witness.conditioning()!r}"]
     for k, term in enumerate(witness.terms):
         role = "against" if k == witness.against else "for"
-        print(f"  {role:>7} stake={term.stake} value={term.value} on {term.gamble!r}")
+        lines.append(f"  {role:>7} stake={term.stake} value={term.value} on {term.gamble!r}")
+    return lines
 
 
 def _emit(args, record: dict, text_lines: list[str]) -> None:
@@ -436,9 +385,7 @@ def _report_lines(reports: list[BoundReport]) -> list[str]:
 
 def cmd_check(args) -> int:
     problem = load_problem(args.file)
-    if args.assessment not in problem.assessments:
-        raise ValidationError(f"unknown assessment {args.assessment!r}")
-    assessment = problem.assessments[args.assessment]
+    assessment = _named(problem.assessments, args.assessment, "assessment")
     cls = args.cls or assessment.consistency
     if cls is None:
         raise ValidationError(
@@ -453,27 +400,19 @@ def cmd_check(args) -> int:
         "witness": None if verdict.witness is None else _witness_dict(verdict.witness),
         "centering_added": [repr(g) for g in verdict.centering],
     }
-    if args.format == "json":
-        _emit(args, record, [])
-    else:
-        print("consistent" if verdict.consistent else "inconsistent")
-        if verdict.witness is not None:
-            _print_witness(verdict.witness)
-        for extra in verdict.centering:
-            print(f"note: added centering entry {extra!r} valued 0")
+    lines = ["consistent" if verdict.consistent else "inconsistent"]
+    if verdict.witness is not None:
+        lines += _witness_lines(verdict.witness)
+    lines += [f"note: added centering entry {extra!r} valued 0" for extra in verdict.centering]
+    _emit(args, record, lines)
     return EXIT_OK if verdict.consistent else EXIT_FAIL
 
 
 def cmd_gn(args) -> int:
     problem = load_problem(args.file)
-    if args.gambles:
-        left = problem.parse_conditional_gamble(args.left)
-        right = problem.parse_conditional_gamble(args.right)
-        verdict = gn_compare_gambles(left, right)
-    else:
-        left = problem.parse_conditional_event(args.left)
-        right = problem.parse_conditional_event(args.right)
-        verdict = gn_compare(left, right)
+    left = problem.parse_conditional(args.left, args.gambles)
+    right = problem.parse_conditional(args.right, args.gambles)
+    verdict = (gn_compare_gambles if args.gambles else gn_compare)(left, right)
     record = {
         "command": "gn",
         "left": args.left,
@@ -488,59 +427,40 @@ def cmd_extend(args) -> int:
     problem = load_problem(args.file)
     partition = problem.resolve_partition(args.partition)
     evaluate, _ = problem.lower_evaluator(args.evaluator, args.side)
-    targets = [problem.parse_conditional_event(t) for t in args.target]
+    targets = [problem.parse_conditional(t) for t in args.target]
+    if args.mode != "natural" and len(targets) != 1:
+        raise ValidationError(f"{args.mode} mode takes exactly one target")
 
+    record = {"command": "extend", "mode": args.mode}
     if args.mode == "interval":
-        if len(targets) != 1:
-            raise ValidationError("interval mode takes exactly one target")
         interval = extension_interval(evaluate, targets[0], partition)
-        record = {
-            "command": "extend",
-            "mode": "interval",
-            "target": args.target[0],
-            "low": str(interval.low),
-            "high": str(interval.high),
-            "low_witness": repr(interval.low_witness),
-            "high_witness": repr(interval.high_witness),
-        }
+        record.update(
+            target=args.target[0],
+            low=str(interval.low),
+            high=str(interval.high),
+            low_witness=repr(interval.low_witness),
+            high_witness=repr(interval.high_witness),
+        )
         lines = [
             f"{interval.low} {interval.high}",
             f"inner: {interval.low_witness!r}",
             f"outer: {interval.high_witness!r}",
         ]
-        _emit(args, record, lines)
-        return EXIT_OK
-
-    if args.mode == "upper":
-        if len(targets) != 1:
-            raise ValidationError("upper mode takes exactly one target")
-        value = upper_extension(evaluate, targets[0], partition)
-        record = {
-            "command": "extend",
-            "mode": "upper",
-            "target": args.target[0],
-            "value": str(value),
-        }
-        _emit(args, record, [str(value)])
-        return EXIT_OK
-
-    values = natural_extension(evaluate, targets, partition, side=args.side)
-    record = {
-        "command": "extend",
-        "mode": "natural",
-        "side": args.side,
-        "targets": list(args.target),
-        "values": [str(v) for v in values],
-    }
-    _emit(args, record, [" ".join(str(v) for v in values)])
+    elif args.mode == "upper":
+        value = str(upper_extension(evaluate, targets[0], partition))
+        record.update(target=args.target[0], value=value)
+        lines = [value]
+    else:
+        values = natural_extension(evaluate, targets, partition, side=args.side)
+        record.update(side=args.side, targets=list(args.target), values=[str(v) for v in values])
+        lines = [" ".join(record["values"])]
+    _emit(args, record, lines)
     return EXIT_OK
 
 
 def cmd_audit(args) -> int:
     problem = load_problem(args.file)
-    if args.assessment not in problem.assessments:
-        raise ValidationError(f"unknown assessment {args.assessment!r}")
-    violations = monotonicity_audit(problem.assessments[args.assessment])
+    violations = monotonicity_audit(_named(problem.assessments, args.assessment, "assessment"))
     record = {
         "command": "audit",
         "assessment": args.assessment,
@@ -554,15 +474,10 @@ def cmd_audit(args) -> int:
             for v in violations
         ],
     }
-    lines = (
-        ["no violations"]
-        if not violations
-        else [
-            f"{v.left!r} <=GN {v.right!r} but {v.left_value} > {v.right_value}"
-            for v in violations
-        ]
-    )
-    _emit(args, record, lines)
+    lines = [
+        f"{v.left!r} <=GN {v.right!r} but {v.left_value} > {v.right_value}" for v in violations
+    ]
+    _emit(args, record, lines or ["no violations"])
     return EXIT_OK if not violations else EXIT_FAIL
 
 
@@ -573,12 +488,22 @@ def cmd_bounds(args) -> int:
         _, obj = problem.lower_evaluator(args.evaluator or "")
         return obj
 
-    def truth():
-        if args.truth is None:
-            return None
-        if args.truth not in problem.layered:
-            raise ValidationError(f"unknown layered probability {args.truth!r}")
-        return problem.layered[args.truth].value
+    if args.kind == "sign":
+        report = sign_relation(
+            problem.resolve_gamble(args.gamble),
+            problem.resolve_event(args.b1),
+            problem.resolve_event(args.b0),
+        )
+        record = {
+            "command": "bounds",
+            "kind": "sign",
+            "verdict": report.verdict.value,
+            "inf_on_b1": str(report.inf_on_b1),
+            "sup_on_b1": str(report.sup_on_b1),
+            "rationale": report.rationale,
+        }
+        _emit(args, record, [f"{report.verdict.value} ({report.rationale})"])
+        return EXIT_OK
 
     if args.kind == "product":
         reports = list(
@@ -598,42 +523,19 @@ def cmd_bounds(args) -> int:
         reports = nested_conditioning_report(
             evaluator(), target, problem.resolve_event(args.b1), problem.resolve_event(args.b0)
         )
-    elif args.kind == "inner":
+    else:
+        bound = inner_event_lower_bound if args.kind == "inner" else finite_values_lower_bound
         reports = [
-            inner_event_lower_bound(
+            bound(
                 evaluator(),
                 problem.resolve_gamble(args.gamble),
                 problem.resolve_event(args.event_b),
                 problem.resolve_partition(args.partition),
-                truth(),
+                None
+                if args.truth is None
+                else _named(problem.layered, args.truth, "layered probability").value,
             )
         ]
-    elif args.kind == "levels":
-        reports = [
-            finite_values_lower_bound(
-                evaluator(),
-                problem.resolve_gamble(args.gamble),
-                problem.resolve_event(args.event_b),
-                problem.resolve_partition(args.partition),
-                truth(),
-            )
-        ]
-    else:  # sign
-        report = sign_relation(
-            problem.resolve_gamble(args.gamble),
-            problem.resolve_event(args.b1),
-            problem.resolve_event(args.b0),
-        )
-        record = {
-            "command": "bounds",
-            "kind": "sign",
-            "verdict": report.verdict.value,
-            "inf_on_b1": str(report.inf_on_b1),
-            "sup_on_b1": str(report.sup_on_b1),
-            "rationale": report.rationale,
-        }
-        _emit(args, record, [f"{report.verdict.value} ({report.rationale})"])
-        return EXIT_OK
 
     record = {
         "command": "bounds",
@@ -678,42 +580,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    def command(name, func, help, *positionals):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        for positional in positionals:
+            p.add_argument(positional)
+        return p
 
-    p = sub.add_parser("check", help="decide consistency of an assessment")
-    p.add_argument("file")
-    p.add_argument("assessment")
+    p = command("check", cmd_check, "decide consistency of an assessment", "file", "assessment")
     p.add_argument("--class", dest="cls", choices=("dF", "W", "convex", "1convex"))
-    common(p)
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("gn", help="compare two conditional events or gambles")
-    p.add_argument("file")
-    p.add_argument("left")
-    p.add_argument("right")
+    p = command("gn", cmd_gn, "compare two conditional events or gambles", "file", "left", "right")
     p.add_argument("--gambles", action="store_true", help="operands are gambles")
-    common(p)
-    p.set_defaults(func=cmd_gn)
 
-    p = sub.add_parser("extend", help="extend an evaluator to new conditional events")
-    p.add_argument("file")
+    p = command("extend", cmd_extend, "extend an evaluator to new conditional events", "file")
     p.add_argument("evaluator", help="name of a layered probability or credal set")
     p.add_argument("target", nargs="+", help="conditional events like 'A|B'")
     p.add_argument("--mode", choices=("natural", "interval", "upper"), default="natural")
     p.add_argument("--side", choices=("lower", "upper"), default="lower")
     p.add_argument("--partition")
-    common(p)
-    p.set_defaults(func=cmd_extend)
 
-    p = sub.add_parser("audit", help="list monotonicity violations in an assessment")
-    p.add_argument("file")
-    p.add_argument("assessment")
-    common(p)
-    p.set_defaults(func=cmd_audit)
+    command(
+        "audit", cmd_audit, "list monotonicity violations in an assessment", "file", "assessment"
+    )
 
-    p = sub.add_parser("bounds", help="inequality reports")
-    p.add_argument("file")
+    p = command("bounds", cmd_bounds, "inequality reports", "file")
     p.add_argument("--kind", choices=("product", "nested", "inner", "levels", "sign"), required=True)
     p.add_argument("--evaluator")
     p.add_argument("--event-a", dest="event_a")
@@ -723,17 +614,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamble")
     p.add_argument("--partition")
     p.add_argument("--truth", help="layered probability providing ground truth")
-    common(p)
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("sample", help="generate a seeded random credal set fragment")
+    p = command("sample", cmd_sample, "generate a seeded random credal set fragment")
     p.add_argument("--worlds", type=int, default=4)
     p.add_argument("--members", type=int, default=2)
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(func=cmd_sample)
 
+    for p in sub.choices.values():  # last, so that it ends every option list
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
@@ -742,10 +631,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GnprobError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (GnprobError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - exit 1 must only ever mean "property fails"

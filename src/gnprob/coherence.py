@@ -351,17 +351,15 @@ def _with_centering(entries):
     assessed at any other value contradicts centering, and the search
     exposes that through the added entry.
     """
-    values = {g: v for g, v in entries}
+    # Entries share one universe, so a conditioning event is known by its mask.
+    centered = {g.conditioning.mask for g, v in entries if v == 0 and not any(g.payoff.values)}
+    zero = Gamble.zero(entries[0][0].universe)
     added = []
-    seen = []
     for gamble, _ in entries:
         b = gamble.conditioning
-        if b in seen:
-            continue
-        seen.append(b)
-        zero = ConditionalGamble(Gamble.zero(b.universe), b)
-        if values.get(zero) != _ZERO:
-            added.append(zero)
+        if b.mask not in centered:
+            centered.add(b.mask)
+            added.append(ConditionalGamble(zero, b))
     return entries + [(z, _ZERO) for z in added], tuple(added)
 
 

@@ -9,7 +9,8 @@ gain, for the tests of positive homogeneity.
 The library evaluates layered probabilities and decides the GN order on
 gambles with integer numerators. The ``oracle_*`` functions here are the
 direct ``Fraction`` versions, world by world, which the integer kernels
-must agree with exactly.
+must agree with exactly. ``oracle_with_centering`` finds the centering
+entries of a convex check by building and looking up every ``0|B``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from gnprob import (
     Event,
     GainSpec,
     GainTerm,
+    Gamble,
     LayeredProbability,
     MonotonicityViolation,
     Partition,
@@ -157,3 +159,20 @@ def oracle_monotonicity_audit(assessment: Assessment) -> list[MonotonicityViolat
         for j, (right, rv) in enumerate(entries)
         if i != j and lv > rv and oracle_gn_leq_gambles(left, right)
     ]
+
+
+def oracle_with_centering(entries):
+    """``coherence._with_centering`` by lookup: 0|B valued 0 for every
+    conditioning event B, in first-seen order, unless already assessed at 0."""
+    values = {g: v for g, v in entries}
+    added = []
+    seen = []
+    for gamble, _ in entries:
+        b = gamble.conditioning
+        if b in seen:
+            continue
+        seen.append(b)
+        zero = ConditionalGamble(Gamble.zero(b.universe), b)
+        if values.get(zero) != 0:
+            added.append(zero)
+    return entries + [(z, Fraction(0)) for z in added], tuple(added)

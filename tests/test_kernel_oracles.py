@@ -1,4 +1,5 @@
-"""The integer evaluators and the integer GN kernel against their Fraction oracles."""
+"""The integer evaluators, the integer GN kernel and the centering of convex
+checks against their oracles."""
 
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from gnprob import (
     gn_leq_gambles,
     monotonicity_audit,
 )
+from gnprob.coherence import _with_centering
 
 from conftest import make_universe
 from oracles import (
@@ -24,6 +26,7 @@ from oracles import (
     oracle_monotonicity_audit,
     oracle_prevision,
     oracle_probability,
+    oracle_with_centering,
 )
 
 
@@ -175,3 +178,26 @@ class TestAuditAgainstOracle:
             assert violations == oracle_monotonicity_audit(assessment)
             total += len(violations)
         assert total > 100
+
+
+class TestCenteringAgainstOracle:
+    def test_seeded_centering_equal(self):
+        zeros = {0: 0, 1: 0}  # zero gambles already assessed at 0, at 1, ...
+        for seed in range(200):
+            rng = random.Random(seed)
+            u = make_universe(rng.randint(1, 5))
+            entries = {}  # one value per gamble, as an Assessment holds them
+            for _ in range(rng.randint(1, 6)):
+                b = Event(u, nonempty_mask(rng, (1 << u.size) - 1))
+                if rng.random() < 0.3:
+                    payoff, value = Gamble.zero(u), rng.choice((0, 1))
+                else:
+                    payoff = fractional_gamble(rng, u)
+                    value = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                entries.setdefault(ConditionalGamble(payoff, b), value)
+            entries = list(entries.items())
+            for gamble, value in entries:
+                if not any(gamble.payoff.values):
+                    zeros[value] = zeros.get(value, 0) + 1
+            assert _with_centering(entries) == oracle_with_centering(entries)
+        assert zeros[0] >= 50 and zeros[1] >= 50
