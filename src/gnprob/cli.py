@@ -166,6 +166,7 @@ class Problem:
     def from_dict(cls, data: dict) -> Problem:
         if not isinstance(data, dict):
             raise ValidationError("problem file: top level must be an object")
+        _check_keys(data, {"universe", *(key for key, _ in _SECTIONS)}, "section", "problem file")
         if "universe" not in data:
             raise ValidationError("problem file: missing 'universe'")
         worlds = data["universe"]
@@ -282,9 +283,11 @@ class Problem:
         """Parse 'A|B' (or 'A', conditioned on the sure event) into a
         conditional event, or with ``gambles`` into a conditional gamble
         whose left part names a gamble."""
-        left, _, right = text.partition("|")
+        left, bar, right = text.partition("|")
+        if bar and not right.strip():
+            raise ValidationError(f"{text}: empty conditioning part after '|'")
         conditioned = (self.resolve_gamble if gambles else self.resolve_event)(left.strip())
-        conditioning = self.resolve_event(right.strip()) if right else self.universe.omega
+        conditioning = self.resolve_event(right.strip()) if bar else self.universe.omega
         return (ConditionalGamble if gambles else ConditionalEvent)(conditioned, conditioning)
 
     def lower_evaluator(self, name: str, side: str = "lower"):
@@ -484,16 +487,22 @@ def cmd_audit(args) -> int:
 def cmd_bounds(args) -> int:
     problem = load_problem(args.file)
 
+    def required(flag, resolve=problem.resolve_event):
+        """The object named by ``flag``, which this kind requires: an event
+        unless ``resolve`` looks up something else."""
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            raise ValidationError(f"--kind {args.kind} needs {flag}")
+        return resolve(value)
+
     def evaluator():
-        _, obj = problem.lower_evaluator(args.evaluator or "")
-        return obj
+        return required("--evaluator", lambda name: problem.lower_evaluator(name)[1])
+
+    def gamble():
+        return required("--gamble", problem.resolve_gamble)
 
     if args.kind == "sign":
-        report = sign_relation(
-            problem.resolve_gamble(args.gamble),
-            problem.resolve_event(args.b1),
-            problem.resolve_event(args.b0),
-        )
+        report = sign_relation(gamble(), required("--b1"), required("--b0"))
         record = {
             "command": "bounds",
             "kind": "sign",
@@ -507,29 +516,18 @@ def cmd_bounds(args) -> int:
 
     if args.kind == "product":
         reports = list(
-            product_rule_report(
-                evaluator(),
-                problem.resolve_event(args.event_a),
-                problem.resolve_event(args.event_b),
-                problem.resolve_gamble(args.gamble),
-            )
+            product_rule_report(evaluator(), required("--event-a"), required("--event-b"), gamble())
         )
     elif args.kind == "nested":
-        target = (
-            problem.resolve_gamble(args.gamble)
-            if args.gamble
-            else problem.resolve_event(args.event_a)
-        )
-        reports = nested_conditioning_report(
-            evaluator(), target, problem.resolve_event(args.b1), problem.resolve_event(args.b0)
-        )
+        target = gamble() if args.gamble else required("--event-a")
+        reports = nested_conditioning_report(evaluator(), target, required("--b1"), required("--b0"))
     else:
         bound = inner_event_lower_bound if args.kind == "inner" else finite_values_lower_bound
         reports = [
             bound(
                 evaluator(),
-                problem.resolve_gamble(args.gamble),
-                problem.resolve_event(args.event_b),
+                gamble(),
+                required("--event-b"),
                 problem.resolve_partition(args.partition),
                 None
                 if args.truth is None

@@ -16,33 +16,41 @@ An assessment is inconsistent for a class exactly when some gain built
 from its entries under the class stake pattern is strictly negative
 everywhere on the union of the conditioning events involved.
 
-Sure loss, dF and W are decided by zero-layer rounds (Biazzo & Gilio,
-IJAR 24, 2000; Walley, Pelessoni & Vicig, J. Statist. Plann. Inference
-126, 2004). A round is one exact LP over masses alpha(w) >= 0 on the
-union of the live entries' conditioning events, with total at most 1:
-every live entry must have sum_{w in B_j} alpha(w) c_j(w) >= 0, where
-c_j = X_j - v_j on B_j; dF asks == 0 of every entry and W of the entry
-under test. Entries whose conditioning event meets the support of
-alpha are settled, the rest go on to the next round, and a round that
-can give mass to no world stalls. By the alternative theorem a stall
-is exactly a gain over the live entries that is strictly negative on
-their union, so the assessment is inconsistent; when every entry is
-settled it is consistent. Sure loss and dF take one sequence of at most
-m rounds. W takes the sure-loss sequence and then, for each entry in
-turn, a sequence that stops once that entry is settled; while it is
-live a round first maximises the mass on its conditioning event.
+Sure loss, dF, W and convex are decided by zero-layer rounds (Biazzo &
+Gilio, IJAR 24, 2000; Walley, Pelessoni & Vicig, J. Statist. Plann.
+Inference 126, 2004; Pelessoni & Vicig, IJAR 39, 2005). A round is one
+exact LP over masses alpha(w) >= 0 on the union of the live entries'
+conditioning events, with total at most 1: every live entry must have
+sum_w alpha(w) c_j(w) >= 0, where c_j = X_j - v_j on B_j and 0 off it;
+dF asks == 0 of every entry and W of the entry under test. Entries whose
+conditioning event meets the support of alpha are settled, the rest go
+on to the next round, and a round that can give mass to no world stalls.
+By the alternative theorem a stall is exactly a gain over the live
+entries that is strictly negative on their union, so the assessment is
+inconsistent; when every entry is settled it is consistent. Sure loss
+and dF take one sequence of at most m rounds. W takes the sure-loss
+sequence and then, for each entry in turn, a sequence that stops once
+that entry is settled; while it is live a round first maximises the mass
+on its conditioning event.
 
-``convex`` keeps the subfamily grid: one LP per (subfamily, entry bet
-against) cell, 2^m - 1 subfamilies. Every cell, and every witness, is
-the same gain LP: maximize a margin eps subject to sum_j x_j c_j(w) +
-eps <= r(w) at each world w of the chosen entries' conditioning union,
-with x >= 0 and sum_j x_j at most (or, for ``convex``, exactly) 1. The
-classes differ only in their stake columns c_j, their right-hand side r
-and that normalisation. A strictly positive optimum yields a witness
-gain, re-checked by direct evaluation before it is returned. Gains are
-positively homogeneous in the stakes, so the normalization loses no
-violations. The ``1convex`` search needs no LP: it scans ordered pairs
-of entries over their coefficient rows scaled to integers.
+``convex`` takes one such sequence per entry j0 bet against, centering
+entries included, over the rows c_j - c_j0; row j0 is then zero. This is
+exact: by LP duality the gains over a subfamily S with j0 bet against
+have no violation exactly when some probability alpha on the union U_S
+has sum_w alpha(w) (c_j(w) - c_j0(w)) >= 0 for every j in S. A round's
+alpha, restricted to U_S, keeps those sums, because each c_j vanishes
+off B_j, so W's settling argument carries over word for word.
+
+A stall yields the witness through one gain LP: maximize a margin eps
+subject to sum_j x_j c_j(w) + eps <= r(w) at each world w of the chosen
+entries' conditioning union, with x >= 0 and sum_j x_j at most (or, for
+``convex``, exactly) 1. The classes differ only in their stake columns
+c_j, their right-hand side r and that normalisation. A strictly positive
+optimum yields a witness gain, re-checked by direct evaluation before it
+is returned. Gains are positively homogeneous in the stakes, so the
+normalization loses no violations. Rounds and gain LPs share one integer
+form of the c_j, scaled by one lcm; the ``1convex`` search needs no LP
+and scans ordered pairs of entries over the same rows.
 
 Entries listed more than once in a gain collapse by summing stakes,
 which leaves the gain unchanged; assessments therefore store each
@@ -150,31 +158,21 @@ def conjugate(assessment: Assessment) -> Assessment:
 
 
 # ---------------------------------------------------------------------------
-# Entry data, gain LPs and the convex grid
+# Integer rows, gain LPs and zero-layer rounds
 
 
-def _entry_data(entries):
-    """Per entry: conditioning mask and coefficient vector X(w) - value on it."""
-    coeffs = []
-    masks = []
-    for gamble, value in entries:
-        n = gamble.universe.size
-        mask = gamble.conditioning.mask
-        masks.append(mask)
-        coeffs.append(
-            [
-                gamble.payoff.values[i] - value if (mask >> i) & 1 else _ZERO
-                for i in range(n)
-            ]
-        )
-    return masks, coeffs
-
-
-def _integer_rows(coeffs):
-    """The coefficient vectors times one positive lcm of all their
-    denominators, as ints: every sign and every difference keeps its sign."""
-    scale = lcm(*(v.denominator for row in coeffs for v in row))
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in coeffs]
+def _rows(entries):
+    """Per entry: the conditioning mask, and the coefficient row X(w) -
+    value on it, 0 elsewhere. Every row is scaled by one positive lcm of
+    all the denominators to ints, so every sign and difference keeps its sign."""
+    masks = [g.conditioning.mask for g, _ in entries]
+    n = entries[0][0].universe.size
+    coeffs = [
+        [g.payoff.values[i] - v if (mask >> i) & 1 else _ZERO for i in range(n)]
+        for (g, v), mask in zip(entries, masks)
+    ]
+    scale = lcm(*(c.denominator for row in coeffs for c in row))
+    return masks, [[c.numerator * (scale // c.denominator) for c in row] for row in coeffs]
 
 
 def _world_indices(mask: int, n: int):
@@ -185,27 +183,24 @@ def _gain_lp(columns, rhs, rel, worlds) -> Optional[tuple]:
     """Stakes x >= 0 maximizing eps subject to sum_j x_j columns[j][w] +
     eps <= rhs[w] at the given worlds and to sum_j x_j ``rel`` 1; None
     unless the optimal eps is strictly positive."""
-    constraints = [([col[w] for col in columns] + [_ONE], "<=", rhs[w]) for w in worlds]
-    constraints.append(([_ONE] * len(columns) + [_ZERO], rel, _ONE))
-    result = solve_lp([_ZERO] * len(columns) + [_ONE], constraints)
+    constraints = [([col[w] for col in columns] + [1], "<=", rhs[w]) for w in worlds]
+    constraints.append(([1] * len(columns) + [0], rel, 1))
+    result = solve_lp([0] * len(columns) + [1], constraints)
     if result.status != "optimal":
         raise AssertionError("a gain LP is feasible and bounded")
     return result.solution[:-1] if result.objective > 0 else None
 
 
-def _cell(cls, chosen, against, coeffs, negated, zero):
+def _cell(cls, chosen, against, rows, n):
     """Stake columns, right-hand side and normalisation of one cell:
     free-signed stakes split as +c and -c for dF, a stake against the
     designated entry for W, stakes in favour summing to a unit stake
     against for convex, stakes in favour only for asl."""
-    favour = [coeffs[k] for k in chosen]
-    if cls == "dF":
-        return favour + [negated[k] for k in chosen], zero, "<="
-    if cls == "W":
-        return favour + [negated[against]], zero, "<="
+    favour = [rows[k] for k in chosen]
     if cls == "convex":
-        return favour, coeffs[against], "=="
-    return favour, zero, "<="
+        return favour, rows[against], "=="
+    against_rows = chosen if cls == "dF" else [against] if cls == "W" else []
+    return favour + [[-v for v in rows[k]] for k in against_rows], [0] * n, "<="
 
 
 def _stakes(cls, x, t):
@@ -221,20 +216,18 @@ class _Cells:
     """The gain LP of any (chosen entries, entry bet against) cell of one
     assessment, solved over the union of the chosen conditioning events."""
 
-    def __init__(self, entries, masks, coeffs):
+    def __init__(self, entries, masks, rows):
         self.entries = entries
         self.masks = masks
-        self.coeffs = coeffs
-        self.negated = [[-v for v in c] for c in coeffs]
+        self.rows = rows
         self.n = entries[0][0].universe.size
-        self.zero = [_ZERO] * self.n
 
     def stakes(self, cls, chosen, against):
         """(stakes in favour, stake against) of a violating gain, or None."""
         union = 0
         for k in chosen:
             union |= self.masks[k]
-        cell = _cell(cls, chosen, against, self.coeffs, self.negated, self.zero)
+        cell = _cell(cls, chosen, against, self.rows, self.n)
         x = _gain_lp(*cell, _world_indices(union, self.n))
         return None if x is None else _stakes(cls, x, len(chosen))
 
@@ -244,24 +237,6 @@ class _Cells:
         if sigma > 0:
             return GainSpec(terms + (GainTerm(sigma, *self.entries[against]),), against=len(terms))
         return GainSpec(terms)
-
-
-def _grid_search(entries, cls) -> Optional[GainSpec]:
-    """The first violating gain over (subfamily, entry bet against) cells:
-    2^m - 1 gain LPs, or m 2^(m-1) with a bet against."""
-    cells = _Cells(entries, *_entry_data(entries))
-    m = len(entries)
-    for subset in range(1, 1 << m):
-        chosen = [k for k in range(m) if (subset >> k) & 1]
-        for against in chosen if cls in ("W", "convex") else (None,):
-            stakes = cells.stakes(cls, chosen, against)
-            if stakes is not None:
-                return cells.gain(chosen, against, *stakes)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Zero-layer rounds
 
 
 def _rounds(masks, rows, n, both_ways, j0):
@@ -303,20 +278,22 @@ def _rounds(masks, rows, n, both_ways, j0):
 
 def _round_search(entries, cls) -> Optional[GainSpec]:
     """Sure loss and dF in one sequence of rounds; W in the sure-loss
-    sequence and then one sequence per entry bet against. A stall yields
-    the witness: the cell LP on the stalled entries, solved again on the
-    entries it stakes."""
-    masks, coeffs = _entry_data(entries)
-    rows = _integer_rows(coeffs)
-    n = entries[0][0].universe.size
-    sequences = [("asl" if cls == "W" else cls, None)]
-    if cls == "W":
-        sequences += [("W", j0) for j0 in range(len(entries))]
+    sequence and then one sequence per entry bet against; convex in one
+    sequence per entry bet against, over the rows shifted by that entry's
+    row. A stall yields the witness: the cell LP on the stalled entries,
+    solved again on the entries it stakes and the entry bet against."""
+    cells = _Cells(entries, *_rows(entries))
+    rows = cells.rows
+    sequences = [] if cls == "convex" else [("asl" if cls == "W" else cls, None)]
+    if cls in ("W", "convex"):
+        sequences += [(cls, j0) for j0 in range(len(entries))]
     for stage, j0 in sequences:
-        live = _rounds(masks, rows, n, stage == "dF", j0)
+        shifted = rows
+        if stage == "convex":
+            shifted = [[a - b for a, b in zip(row, rows[j0])] for row in rows]
+        live = _rounds(cells.masks, shifted, cells.n, stage == "dF", j0)
         if live is None:
             continue
-        cells = _Cells(entries, masks, coeffs)
         stakes = cells.stakes(stage, live, j0)
         if stakes is None:
             raise AssertionError("a stalled round has a violating gain")
@@ -327,8 +304,7 @@ def _round_search(entries, cls) -> Optional[GainSpec]:
 
 def _one_convex_search(entries) -> Optional[GainSpec]:
     """Single-pair gains with unit stakes: one bet for, one bet against."""
-    masks, coeffs = _entry_data(entries)
-    rows = _integer_rows(coeffs)
+    masks, rows = _rows(entries)
     n = entries[0][0].universe.size
     for j in range(len(entries)):
         for i in range(len(entries)):
@@ -372,18 +348,13 @@ def _decide(assessment: Assessment, cls: str) -> Verdict:
         return Verdict(True)
     if len(entries) > MAX_ENTRIES:
         raise EnumerationLimitError(
-            f"{len(entries)} entries exceed the subfamily enumeration cap of {MAX_ENTRIES}"
+            f"{len(entries)} entries exceed the cap of {MAX_ENTRIES}"
         )
     centering: tuple[ConditionalGamble, ...] = ()
     if cls in ("convex", "1convex"):
         entries, centering = _with_centering(entries)
 
-    if cls == "1convex":
-        witness = _one_convex_search(entries)
-    elif cls == "convex":
-        witness = _grid_search(entries, cls)
-    else:
-        witness = _round_search(entries, cls)
+    witness = _one_convex_search(entries) if cls == "1convex" else _round_search(entries, cls)
 
     if witness is None:
         return Verdict(True, None, centering)
@@ -397,13 +368,12 @@ def check(assessment: Assessment, consistency: Optional[str] = None) -> Verdict:
 
     Upper assessments are conjugated first, so a single lower-prevision
     gain form covers everything. The witness, when present, has its
-    conditioned maximum strictly negative. For dF and W it comes from
-    the stalled round: the gain LP on the entries still live there (with
-    no bet against if W already fails as sure loss, else a bet against
-    the entry under test), solved again on the entries it gives a nonzero
-    stake plus the entry under test. For convex it is the first violating
-    gain in a fixed enumeration order of (subfamily, entry bet against)
-    cells, and for 1convex the first violating ordered pair.
+    conditioned maximum strictly negative. For dF, W and convex it comes
+    from the stalled round: the gain LP on the entries still live there
+    (with no bet against if W already fails as sure loss, else a bet
+    against the entry under test), solved again on the entries it gives a
+    nonzero stake plus the entry under test. For 1convex it is the first
+    violating ordered pair.
     """
     return _decide(assessment, normalize_class(consistency or assessment.consistency or "W"))
 

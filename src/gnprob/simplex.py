@@ -15,7 +15,10 @@ costs are compared by their integer numerators. Optima are therefore
 decided exactly and the strict sign tests downstream need no tolerances.
 Scaling a row rescales only its slack and artificial variables, never a
 structural one, and the phase-1 costs are reweighted to match, so the
-pivots are those of the same simplex run in Fraction arithmetic.
+pivots are those of the same simplex run in Fraction arithmetic. A
+caller's positive scaling of a structural column, of the objective or of
+a row that needs no artificial variable keeps every sign and every ratio
+order, so it leaves the pivots unchanged too.
 
 Variables are implicitly nonnegative. Constraints are triples
 ``(coefficients, relation, rhs)`` with relation one of "<=", ">=", "==".

@@ -11,12 +11,16 @@ gambles with integer numerators. The ``oracle_*`` functions here are the
 direct ``Fraction`` versions, world by world, which the integer kernels
 must agree with exactly. ``oracle_with_centering`` finds the centering
 entries of a convex check by building and looking up every ``0|B``.
+
+The library decides consistency by zero-layer rounds. ``grid_search``
+solves the gain LP of every (subfamily, entry bet against) cell instead,
+2^m - 1 subfamilies, and the two must agree on every verdict.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Optional
 
 from gnprob import (
     Assessment,
@@ -31,6 +35,8 @@ from gnprob import (
     MonotonicityViolation,
     Partition,
     ValidationError,
+    coherence,
+    conjugate,
     gn_leq_events,
     inf_over,
     sup_over,
@@ -176,3 +182,23 @@ def oracle_with_centering(entries):
         if values.get(zero) != 0:
             added.append(zero)
     return entries + [(z, Fraction(0)) for z in added], tuple(added)
+
+
+def grid_search(assessment: Assessment, cls: str) -> Optional[GainSpec]:
+    """The first violating gain over (subfamily, entry bet against) cells,
+    after conjugating an upper assessment and, for convex, centering it:
+    2^m - 1 gain LPs, or m 2^(m-1) with a bet against."""
+    if assessment.kind == "upper":
+        assessment = conjugate(assessment)
+    entries = list(assessment.entries)
+    if cls == "convex":
+        entries, _ = oracle_with_centering(entries)
+    cells = coherence._Cells(entries, *coherence._rows(entries))
+    m = len(entries)
+    for subset in range(1, 1 << m):
+        chosen = [k for k in range(m) if (subset >> k) & 1]
+        for against in chosen if cls in ("W", "convex") else (None,):
+            stakes = cells.stakes(cls, chosen, against)
+            if stakes is not None:
+                return cells.gain(chosen, against, *stakes)
+    return None

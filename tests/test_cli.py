@@ -111,6 +111,7 @@ class TestCheckCommand:
         "data, location",
         [
             ({"universe": ["a", "b"], "assessments": {"x": [1]}}, "assessments.x:"),
+            ({"universe": ["a"], "gambels": {}}, "problem file: unknown section 'gambels'"),
             ({"universe": 3}, "universe:"),
             ({"universe": "ab"}, "universe:"),
             ({"universe": ["a"], "events": [["a"]]}, "events:"),
@@ -343,6 +344,13 @@ class TestGnCommand:
         )
         assert out.strip() == "EQUIVALENT"
 
+    @pytest.mark.parametrize("operand", ["S|", "S| ", "payout|"])
+    def test_empty_conditioning_part_exit_two(self, operand, capsys):
+        flags = ["--gambles"] if operand.startswith("payout") else []
+        code, out, err = run_cli(["gn", FOOTBALL, operand, operand, *flags], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {operand}: empty conditioning part after '|'\n"
+
 
 class TestExtendCommand:
     def test_interval_output(self, capsys):
@@ -449,6 +457,25 @@ class TestBoundsCommand:
         report = record["reports"][0]
         assert report["name"] == "level-set-bound"
         assert report["holds"] is True
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--kind", "product", "--event-a", "S", "--event-b", "SB", "--gamble", "payout"], "--evaluator"),
+            (["--kind", "nested", "--event-a", "S", "--b1", "SB", "--b0", "F"], "--evaluator"),
+            (["--kind", "inner", "--gamble", "payout", "--event-b", "F"], "--evaluator"),
+            (["--kind", "levels", "--gamble", "payout", "--event-b", "F"], "--evaluator"),
+            (["--kind", "levels", "--evaluator", "M", "--event-b", "F"], "--gamble"),
+            (["--kind", "product", "--evaluator", "M", "--event-b", "SB", "--gamble", "payout"], "--event-a"),
+            (["--kind", "inner", "--evaluator", "M", "--gamble", "payout"], "--event-b"),
+            (["--kind", "nested", "--evaluator", "M", "--event-a", "S", "--b0", "F"], "--b1"),
+            (["--kind", "sign", "--gamble", "payout", "--b1", "SB"], "--b0"),
+        ],
+    )
+    def test_missing_flag_is_named(self, argv, flag, capsys):
+        code, out, err = run_cli(["bounds", FOOTBALL, *argv], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --kind {argv[1]} needs {flag}\n"
 
 
 class TestSampleCommand:

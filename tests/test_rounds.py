@@ -1,9 +1,9 @@
 """Zero-layer rounds against the subfamily grid.
 
-Sure loss, dF and W are decided by sequences of zero-layer rounds, each
-one small LP over world masses. ``coherence._grid_search`` enumerates
-every (subfamily, entry bet against) cell instead and serves here as the
-oracle: the two must give the same verdict on every instance.
+Sure loss, dF, W and convex are decided by sequences of zero-layer
+rounds, each one small LP over world masses. ``oracles.grid_search``
+enumerates every (subfamily, entry bet against) cell instead and serves
+here as the oracle: the two must give the same verdict on every instance.
 """
 
 import random
@@ -23,25 +23,19 @@ from gnprob import (
     check_avoiding_sure_loss,
     coherence,
     conditioned_max,
-    conjugate,
     random_credal,
     random_layered,
 )
 from conftest import make_universe, random_conditional_event, random_conditional_gamble
+from oracles import grid_search
 
-ROUND_CLASSES = ("asl", "dF", "W")
+ROUND_CLASSES = ("asl", "dF", "W", "convex")
 
 
 def decide(assessment, cls):
     if cls == "asl":
         return check_avoiding_sure_loss(assessment)
     return check(assessment, cls)
-
-
-def grid_consistent(assessment, cls):
-    if assessment.kind == "upper":
-        assessment = conjugate(assessment)
-    return coherence._grid_search(list(assessment.entries), cls) is None
 
 
 def seeded_assessment(seed):
@@ -84,7 +78,7 @@ def test_rounds_agree_with_the_grid(cls):
     for seed in range(320):
         assessment = seeded_assessment(1000 * ROUND_CLASSES.index(cls) + seed)
         verdict = decide(assessment, cls)
-        assert verdict.consistent == grid_consistent(assessment, cls), seed
+        assert verdict.consistent == (grid_search(assessment, cls) is None), seed
         if not verdict.consistent:
             assert conditioned_max(verdict.witness) < 0
         tally[verdict.consistent] += 1
@@ -114,7 +108,7 @@ def small_assessments(draw):
 @given(small_assessments(), st.sampled_from(ROUND_CLASSES))
 def test_rounds_agree_with_the_grid_property(assessment, cls):
     verdict = decide(assessment, cls)
-    assert verdict.consistent == grid_consistent(assessment, cls)
+    assert verdict.consistent == (grid_search(assessment, cls) is None)
     if not verdict.consistent:
         assert conditioned_max(verdict.witness) < 0
 
@@ -157,6 +151,17 @@ def test_sixteen_entry_w_check_takes_a_linear_number_of_lps(seed, lp_count):
     elapsed = time.perf_counter() - start
     assert verdict.consistent
     assert len(lp_count) <= 2 * 16 + 2
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sixteen_entry_convex_check_takes_at_most_two_lps_per_entry(seed, lp_count):
+    assessment = sixteen_entries(seed, precise=False)
+    start = time.perf_counter()
+    verdict = check(assessment, "convex")
+    elapsed = time.perf_counter() - start
+    assert verdict.consistent
+    assert len(lp_count) <= 2 * (16 + len(verdict.centering))
     assert elapsed < 1
 
 

@@ -19,6 +19,7 @@ from gnprob import (
 )
 from gnprob.simplex import solve_lp
 from conftest import make_universe, random_conditional_gamble
+from oracles import grid_search
 from simplex_oracle import oracle_solve_lp
 
 
@@ -287,5 +288,7 @@ class TestAgainstFractionOracle:
                 check(assessment, "W")
                 check(assessment, "convex")
                 check_avoiding_sure_loss(assessment)
+                # the grid oracle's cell LPs go through the same solve_lp
+                grid_search(assessment, "convex")
         assert len(solved) > 1000
         assert any(solved) and not all(solved)
