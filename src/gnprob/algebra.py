@@ -12,9 +12,12 @@ event and are stored in canonical form: the conditioned part of a
 conditional event is intersected with the conditioning event, and the
 payoff of a conditional gamble is zeroed outside it.
 
-Everything here is an immutable value; all operations are pure
-functions, safe to share across threads. Only exact rationals are
-admitted as numbers; floats raise immediately.
+Every type here is a frozen dataclass: an immutable value, equal and
+hashed by its fields, so values can key dicts and sets. Events, gambles
+and conditional objects are slotted and keep their own validating
+constructors. All operations are pure functions, safe to share across
+threads. Only exact rationals are admitted as numbers; floats raise
+immediately.
 """
 
 from __future__ import annotations
@@ -61,20 +64,22 @@ class Universe:
     def size(self) -> int:
         return len(self.worlds)
 
-    def index(self, world: str) -> int:
-        try:
-            return self._positions[world]  # type: ignore[attr-defined]
-        except KeyError:
-            raise ValidationError(f"unknown world {world!r}") from None
+    def index(self, world: Union[str, int]) -> int:
+        """Position of a world given by name or by index."""
+        if isinstance(world, str):
+            try:
+                return self._positions[world]  # type: ignore[attr-defined]
+            except KeyError:
+                raise ValidationError(f"unknown world {world!r}") from None
+        if type(world) is int and 0 <= world < self.size:
+            return world
+        raise ValidationError(f"no world {world!r} in a {self.size}-world universe")
 
     def event(self, worlds: Iterable[str]) -> Event:
         mask = 0
         for w in worlds:
             mask |= 1 << self.index(w)
         return Event(self, mask)
-
-    def atom(self, world: str) -> Event:
-        return Event(self, 1 << self.index(world))
 
     @property
     def omega(self) -> Event:
@@ -93,10 +98,12 @@ def _require_same_universe(left, right) -> None:
         )
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Event:
     """A subset of a universe's worlds, stored as a bitmask."""
 
-    __slots__ = ("universe", "mask")
+    universe: Universe
+    mask: int
 
     def __init__(self, universe: Universe, mask: int):
         mask = int(mask)
@@ -104,9 +111,6 @@ class Event:
             raise ValidationError(f"mask {mask:#x} does not fit a {universe.size}-world universe")
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "mask", mask)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Event is immutable")
 
     # Boolean structure -------------------------------------------------
 
@@ -125,27 +129,12 @@ class Event:
     def __invert__(self) -> Event:
         return Event(self.universe, self.universe.omega.mask ^ self.mask)
 
-    def complement(self) -> Event:
-        return ~self
-
     def __le__(self, other: Event) -> bool:
         _require_same_universe(self, other)
         return self.mask & ~other.mask == 0
 
     def __lt__(self, other: Event) -> bool:
         return self <= other and self.mask != other.mask
-
-    # Value semantics ----------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Event)
-            and self.universe == other.universe
-            and self.mask == other.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.universe, self.mask))
 
     def __bool__(self) -> bool:
         return self.mask != 0
@@ -219,6 +208,7 @@ class Partition:
         return "Partition(" + ", ".join(repr(b) for b in self.blocks) + ")"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Gamble:
     """An exact rational payoff for every world of a universe.
 
@@ -226,7 +216,8 @@ class Gamble:
     mapping from world names to rationals; missing names default to 0.
     """
 
-    __slots__ = ("universe", "values")
+    universe: Universe
+    values: tuple[Fraction, ...]
 
     def __init__(self, universe: Universe, values):
         if isinstance(values, Mapping):
@@ -243,9 +234,6 @@ class Gamble:
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "values", tuple(table))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Gamble is immutable")
-
     @classmethod
     def indicator(cls, event: Event) -> Gamble:
         return cls(
@@ -261,10 +249,8 @@ class Gamble:
     def zero(cls, universe: Universe) -> Gamble:
         return cls.constant(universe, 0)
 
-    def __getitem__(self, world) -> Fraction:
-        if isinstance(world, str):
-            world = self.universe.index(world)
-        return self.values[world]
+    def __getitem__(self, world: Union[str, int]) -> Fraction:
+        return self.values[self.universe.index(world)]
 
     def __add__(self, other: Gamble) -> Gamble:
         _require_same_universe(self, other)
@@ -285,21 +271,12 @@ class Gamble:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Gamble)
-            and self.universe == other.universe
-            and self.values == other.values
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.universe, self.values))
-
     def __repr__(self) -> str:
         pairs = ", ".join(f"{w}:{v}" for w, v in zip(self.universe.worlds, self.values))
         return f"Gamble({pairs})"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class ConditionalEvent:
     """A pair ``A|B`` with ``B`` nonempty, stored as ``(A and B)|B``.
 
@@ -307,7 +284,8 @@ class ConditionalEvent:
     which encodes the identification of ``A|B`` with ``(A and B)|B``.
     """
 
-    __slots__ = ("conditioned", "conditioning")
+    conditioned: Event
+    conditioning: Event
 
     def __init__(self, conditioned: Event, conditioning: Event):
         _require_same_universe(conditioned, conditioning)
@@ -315,9 +293,6 @@ class ConditionalEvent:
             raise EmptyConditioningError("conditioning event must be nonempty")
         object.__setattr__(self, "conditioned", conditioned & conditioning)
         object.__setattr__(self, "conditioning", conditioning)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConditionalEvent is immutable")
 
     @property
     def universe(self) -> Universe:
@@ -333,20 +308,11 @@ class ConditionalEvent:
         """True when the value is forced: empty conditioned part, or A|B = B|B."""
         return self.conditioned.is_empty or self.conditioned == self.conditioning
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ConditionalEvent)
-            and self.conditioned == other.conditioned
-            and self.conditioning == other.conditioning
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.conditioned, self.conditioning))
-
     def __repr__(self) -> str:
         return f"{self.conditioned!r}|{self.conditioning!r}"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class ConditionalGamble:
     """A gamble restricted to a nonempty conditioning event.
 
@@ -355,7 +321,8 @@ class ConditionalGamble:
     intended identification (same conditioning, same payoffs on it).
     """
 
-    __slots__ = ("payoff", "conditioning")
+    payoff: Gamble
+    conditioning: Event
 
     def __init__(self, payoff: Gamble, conditioning: Event):
         _require_same_universe(payoff, conditioning)
@@ -363,9 +330,6 @@ class ConditionalGamble:
             raise EmptyConditioningError("conditioning event must be nonempty")
         object.__setattr__(self, "payoff", payoff * Gamble.indicator(conditioning))
         object.__setattr__(self, "conditioning", conditioning)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConditionalGamble is immutable")
 
     @classmethod
     def from_event(cls, ce: ConditionalEvent) -> ConditionalGamble:
@@ -377,16 +341,6 @@ class ConditionalGamble:
 
     def __neg__(self) -> ConditionalGamble:
         return ConditionalGamble(-self.payoff, self.conditioning)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ConditionalGamble)
-            and self.conditioning == other.conditioning
-            and self.payoff == other.payoff
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.payoff, self.conditioning))
 
     def __repr__(self) -> str:
         pairs = ", ".join(

@@ -24,12 +24,16 @@ minimum and maximum over members provide lower and upper envelopes.
 Both types expose ``lower``/``upper`` evaluators accepting events,
 gambles, conditional events and conditional gambles, which is the
 interface the extension and inequality modules consume.
+
+All three types are frozen dataclasses: immutable values, equal and
+hashed by value. A layered probability compares by its universe and its
+``Fraction`` layers only; the integer numerators are derived from them.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
@@ -157,10 +161,14 @@ class Assessment:
         return problems
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class LayeredProbability:
     """Full conditional probability as a stack of layer measures."""
 
-    __slots__ = ("universe", "layers", "_nums", "_supports")
+    universe: Universe
+    layers: tuple[tuple[Fraction, ...], ...]
+    _nums: tuple[tuple[int, ...], ...] = field(compare=False)
+    _supports: tuple[int, ...] = field(compare=False)
 
     def __init__(self, universe: Universe, layers: Sequence[Sequence[RationalLike]]):
         stacked = []
@@ -195,9 +203,6 @@ class LayeredProbability:
         object.__setattr__(self, "layers", tuple(stacked))
         object.__setattr__(self, "_nums", tuple(numerators))
         object.__setattr__(self, "_supports", tuple(supports))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LayeredProbability is immutable")
 
     def support(self, depth: int) -> Event:
         return Event(self.universe, self._supports[depth])
@@ -267,24 +272,15 @@ class LayeredProbability:
     lower = value
     upper = value
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LayeredProbability)
-            and self.universe == other.universe
-            and self.layers == other.layers
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.universe, self.layers))
-
     def __repr__(self) -> str:
         return f"LayeredProbability({len(self.layers)} layers on {self.universe.worlds})"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class CredalSet:
     """A nonempty finite set of layered probabilities on one universe."""
 
-    __slots__ = ("members",)
+    members: tuple[LayeredProbability, ...]
 
     def __init__(self, members: Sequence[LayeredProbability]):
         members = tuple(members)
@@ -295,9 +291,6 @@ class CredalSet:
             if m.universe != universe:
                 raise UniverseMismatchError("credal set members on different universes")
         object.__setattr__(self, "members", members)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CredalSet is immutable")
 
     @property
     def universe(self) -> Universe:
@@ -311,12 +304,6 @@ class CredalSet:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CredalSet) and self.members == other.members
-
-    def __hash__(self) -> int:
-        return hash(self.members)
 
     def __repr__(self) -> str:
         return f"CredalSet({len(self.members)} members on {self.universe.worlds})"

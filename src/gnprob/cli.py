@@ -284,8 +284,12 @@ class Problem:
         conditional event, or with ``gambles`` into a conditional gamble
         whose left part names a gamble."""
         left, bar, right = text.partition("|")
+        if "|" in right:
+            raise ValidationError(f"{text}: more than one '|'")
         if bar and not right.strip():
             raise ValidationError(f"{text}: empty conditioning part after '|'")
+        if bar and not left.strip():
+            raise ValidationError(f"{text}: empty conditioned part before '|'")
         conditioned = (self.resolve_gamble if gambles else self.resolve_event)(left.strip())
         conditioning = self.resolve_event(right.strip()) if bar else self.universe.omega
         return (ConditionalGamble if gambles else ConditionalEvent)(conditioned, conditioning)

@@ -117,8 +117,7 @@ class GainSpec:
 def evaluate_gain(spec: GainSpec, world) -> Fraction:
     """The gain's payoff at a world (name or index); bets whose
     conditioning event excludes the world are called off."""
-    universe = spec.universe
-    i = universe.index(world) if isinstance(world, str) else int(world)
+    i = spec.universe.index(world)
     total = _ZERO
     for k, term in enumerate(spec.terms):
         if (term.gamble.conditioning.mask >> i) & 1:
@@ -258,8 +257,10 @@ def _rounds(masks, rows, n, both_ways, j0):
             union |= masks[j]
         worlds = _world_indices(union, n)
         equal = live if both_ways else [] if j0 is None else [j0]
-        constraints = [([-rows[j][w] for w in worlds], "<=", 0) for j in live]
-        constraints += [([rows[j][w] for w in worlds], "<=", 0) for j in equal]
+        signed = [[-rows[j][w] for w in worlds] for j in live]
+        signed += [[rows[j][w] for w in worlds] for j in equal]
+        # An all-zero row never wins Bland's ratio test: dropping it keeps every pivot.
+        constraints = [(coeffs, "<=", 0) for coeffs in signed if any(coeffs)]
         constraints.append(([1] * len(worlds), "<=", 1))
         if j0 is not None:
             target = [(masks[j0] >> w) & 1 for w in worlds]

@@ -254,6 +254,15 @@ class TestGambles:
         assert (2 * x).values == (Fraction(2), Fraction(4))
         assert (-x).values == (Fraction(-1), Fraction(-2))
 
+    def test_lookup_by_name_or_index(self):
+        x = Gamble(make_universe(3), [4, 5, 6])
+        assert (x["w1"], x[0], x["w3"], x[2]) == (4, 4, 6, 6)
+
+    @pytest.mark.parametrize("world", [-1, 3, 5, True, "w4", Fraction(1)], ids=repr)
+    def test_lookup_refuses_what_names_no_world(self, world):
+        with pytest.raises(ValidationError):
+            Gamble(make_universe(3), [4, 5, 6])[world]
+
 
 class TestConditionalObjects:
     def test_normalization(self):

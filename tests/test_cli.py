@@ -344,12 +344,22 @@ class TestGnCommand:
         )
         assert out.strip() == "EQUIVALENT"
 
-    @pytest.mark.parametrize("operand", ["S|", "S| ", "payout|"])
-    def test_empty_conditioning_part_exit_two(self, operand, capsys):
+    BAD_OPERANDS = [
+        ("S|", "empty conditioning part after '|'"),
+        ("S| ", "empty conditioning part after '|'"),
+        ("payout|", "empty conditioning part after '|'"),
+        ("|F", "empty conditioned part before '|'"),
+        (" |F", "empty conditioned part before '|'"),
+        ("S|F|B", "more than one '|'"),
+        ("payout|F|", "more than one '|'"),
+    ]
+
+    @pytest.mark.parametrize("operand, message", BAD_OPERANDS, ids=[op for op, _ in BAD_OPERANDS])
+    def test_empty_conditioning_part_exit_two(self, operand, message, capsys):
         flags = ["--gambles"] if operand.startswith("payout") else []
         code, out, err = run_cli(["gn", FOOTBALL, operand, operand, *flags], capsys)
         assert (code, out) == (2, "")
-        assert err == f"error: {operand}: empty conditioning part after '|'\n"
+        assert err == f"error: {operand}: {message}\n"
 
 
 class TestExtendCommand:

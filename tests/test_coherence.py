@@ -78,6 +78,15 @@ class TestEvaluateGain:
         spec = GainSpec((GainTerm(Fraction(1), cg, Fraction(1, 2)),), against=0)
         assert evaluate_gain(spec, "w1") == Fraction(-1, 2)
 
+    @pytest.mark.parametrize("world", [3, 99, -1, True, "w4"], ids=repr)
+    def test_world_that_is_not_in_the_universe_refused(self, world):
+        u = make_universe(3)
+        cg = ConditionalGamble(Gamble.indicator(u.event(["w1"])), u.omega)
+        spec = GainSpec((GainTerm(Fraction(1), cg, Fraction(1, 2)),))
+        assert evaluate_gain(spec, 2) == Fraction(-1, 2)
+        with pytest.raises(ValidationError):
+            evaluate_gain(spec, world)
+
 
 class TestCheckExamples:
     def test_fair_pair_is_df_coherent(self):

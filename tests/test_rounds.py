@@ -166,6 +166,23 @@ def test_sixteen_entry_convex_check_takes_at_most_two_lps_per_entry(seed, lp_cou
 
 
 @pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("cls", ("W", "convex"))
+def test_no_all_zero_row_reaches_the_solver(cls, seed, monkeypatch):
+    # Convex rows are shifted by the row of the entry bet against, which
+    # zeroes that row and every row equal to it; rounds leave them out.
+    rows = []
+    solve = coherence.solve_lp
+
+    def recording(objective, constraints):
+        rows.extend(coeffs for coeffs, _, _ in constraints)
+        return solve(objective, constraints)
+
+    monkeypatch.setattr(coherence, "solve_lp", recording)
+    assert check(sixteen_entries(seed, precise=False), cls).consistent
+    assert rows and all(any(coeffs) for coeffs in rows)
+
+
+@pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("cls", ("asl", "dF"))
 def test_sixteen_entry_single_sequence_takes_at_most_sixteen_lps(cls, seed, lp_count):
     base = sixteen_entries(seed, precise=cls == "dF")

@@ -18,6 +18,31 @@ def test_no_assert_statements():
     assert not found, found
 
 
+def test_no_hand_written_value_semantics():
+    # Immutable values are frozen dataclasses: equality, hashing, slots
+    # and the refusal to assign come from ``dataclass``, never by hand.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [item.name]
+                elif isinstance(item, ast.Assign):
+                    names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    names = [item.target.id]
+                else:
+                    names = []
+                found += [
+                    f"{path.name}:{item.lineno} {node.name}.{name}"
+                    for name in names
+                    if name in ("__eq__", "__hash__", "__setattr__", "__slots__")
+                ]
+    assert not found, found
+
+
 PUBLIC_NAMES = """
     Assessment BoundReport ConditionalEvent ConditionalGamble ConditionalImplication
     CredalSet EmptyConditioningError EnumerationLimitError Event ExtensionInterval
