@@ -135,8 +135,7 @@ class Assessment:
         return tuple(v for _, v in self.entries)
 
     def with_entry(self, gamble: Evaluable, value: RationalLike) -> Assessment:
-        entry = (_as_conditional_gamble(gamble), as_fraction(value))
-        return Assessment(self.entries + (entry,), self.kind, self.consistency)
+        return Assessment(self.entries + ((gamble, value),), self.kind, self.consistency)
 
     def restricted(self, indices: Iterable[int]) -> Assessment:
         picked = tuple(self.entries[i] for i in indices)

@@ -294,14 +294,12 @@ class Problem:
         conditioning = self.resolve_event(right.strip()) if bar else self.universe.omega
         return (ConditionalGamble if gambles else ConditionalEvent)(conditioned, conditioning)
 
-    def lower_evaluator(self, name: str, side: str = "lower"):
-        """An evaluator callable plus its envelope object, by name."""
+    def evaluator(self, name: str):
+        """The layered probability or credal set of that name."""
         if name in self.layered:
-            obj = self.layered[name]
-            return obj.value, obj
+            return self.layered[name]
         if name in self.credal:
-            obj = self.credal[name]
-            return (obj.lower if side == "lower" else obj.upper), obj
+            return self.credal[name]
         raise ValidationError(f"unknown evaluator {name!r} (not layered, not credal)")
 
 
@@ -433,7 +431,7 @@ def cmd_gn(args) -> int:
 def cmd_extend(args) -> int:
     problem = load_problem(args.file)
     partition = problem.resolve_partition(args.partition)
-    evaluate, _ = problem.lower_evaluator(args.evaluator, args.side)
+    evaluate = getattr(problem.evaluator(args.evaluator), args.side)
     targets = [problem.parse_conditional(t) for t in args.target]
     if args.mode != "natural" and len(targets) != 1:
         raise ValidationError(f"{args.mode} mode takes exactly one target")
@@ -500,7 +498,7 @@ def cmd_bounds(args) -> int:
         return resolve(value)
 
     def evaluator():
-        return required("--evaluator", lambda name: problem.lower_evaluator(name)[1])
+        return required("--evaluator", problem.evaluator)
 
     def gamble():
         return required("--gamble", problem.resolve_gamble)

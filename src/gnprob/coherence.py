@@ -41,16 +41,17 @@ has sum_w alpha(w) (c_j(w) - c_j0(w)) >= 0 for every j in S. A round's
 alpha, restricted to U_S, keeps those sums, because each c_j vanishes
 off B_j, so W's settling argument carries over word for word.
 
-A stall yields the witness through one gain LP: maximize a margin eps
-subject to sum_j x_j c_j(w) + eps <= r(w) at each world w of the chosen
-entries' conditioning union, with x >= 0 and sum_j x_j at most (or, for
-``convex``, exactly) 1. The classes differ only in their stake columns
-c_j, their right-hand side r and that normalisation. A strictly positive
-optimum yields a witness gain, re-checked by direct evaluation before it
-is returned. Gains are positively homogeneous in the stakes, so the
-normalization loses no violations. Rounds and gain LPs share one integer
-form of the c_j, scaled by one lcm; the ``1convex`` search needs no LP
-and scans ordered pairs of entries over the same rows.
+A stall yields the witness through one gain LP, which one function,
+:func:`_violating_stakes`, builds, solves and decodes: maximize a margin
+eps subject to sum_j x_j c_j(w) + eps <= r(w) at each world w of the
+chosen entries' conditioning union, with x >= 0 and sum_j x_j at most
+(or, for ``convex``, exactly) 1. The classes differ only in their stake
+columns c_j, their right-hand side r and that normalisation. A strictly
+positive optimum yields a witness gain, re-checked by direct evaluation
+before it is returned. Gains are positively homogeneous in the stakes,
+so the normalization loses no violations. Rounds and gain LPs share one
+integer form of the c_j, scaled by one lcm; the ``1convex`` search needs
+no LP and scans ordered pairs of entries over the same rows.
 
 Entries listed more than once in a gain collapse by summing stakes,
 which leaves the gain unchanged; assessments therefore store each
@@ -178,32 +179,34 @@ def _world_indices(mask: int, n: int):
     return [i for i in range(n) if (mask >> i) & 1]
 
 
-def _gain_lp(columns, rhs, rel, worlds) -> Optional[tuple]:
-    """Stakes x >= 0 maximizing eps subject to sum_j x_j columns[j][w] +
-    eps <= rhs[w] at the given worlds and to sum_j x_j ``rel`` 1; None
-    unless the optimal eps is strictly positive."""
-    constraints = [([col[w] for col in columns] + [1], "<=", rhs[w]) for w in worlds]
+def _violating_stakes(cls, chosen, against, masks, rows):
+    """(stakes in favour of the chosen entries, stake against) of the
+    gain LP on one cell, or None unless its optimal eps is strictly
+    positive. Stake columns: free-signed stakes split as +c and -c for
+    dF, a stake against the designated entry for W, stakes in favour only
+    for asl, all with r = 0; for convex, stakes in favour summing to a
+    unit stake against, with r the row of the entry bet against."""
+    n = len(rows[0])
+    columns = [rows[k] for k in chosen]
+    rhs, rel = [0] * n, "<="
+    if cls == "convex":
+        rhs, rel = rows[against], "=="
+    else:
+        against_rows = chosen if cls == "dF" else [against] if cls == "W" else []
+        columns += [[-v for v in rows[k]] for k in against_rows]
+    union = 0
+    for k in chosen:
+        union |= masks[k]
+    constraints = [
+        ([col[w] for col in columns] + [1], "<=", rhs[w]) for w in _world_indices(union, n)
+    ]
     constraints.append(([1] * len(columns) + [0], rel, 1))
     result = solve_lp([0] * len(columns) + [1], constraints)
     if result.status != "optimal":
         raise AssertionError("a gain LP is feasible and bounded")
-    return result.solution[:-1] if result.objective > 0 else None
-
-
-def _cell(cls, chosen, against, rows, n):
-    """Stake columns, right-hand side and normalisation of one cell:
-    free-signed stakes split as +c and -c for dF, a stake against the
-    designated entry for W, stakes in favour summing to a unit stake
-    against for convex, stakes in favour only for asl."""
-    favour = [rows[k] for k in chosen]
-    if cls == "convex":
-        return favour, rows[against], "=="
-    against_rows = chosen if cls == "dF" else [against] if cls == "W" else []
-    return favour + [[-v for v in rows[k]] for k in against_rows], [0] * n, "<="
-
-
-def _stakes(cls, x, t):
-    """The LP's stakes as (stakes in favour of the chosen entries, stake against)."""
+    if result.objective <= 0:
+        return None
+    x, t = result.solution[:-1], len(chosen)
     if cls == "dF":
         return [u - v for u, v in zip(x[:t], x[t:])], _ZERO
     if cls == "W":
@@ -211,31 +214,12 @@ def _stakes(cls, x, t):
     return x, (_ONE if cls == "convex" else _ZERO)
 
 
-class _Cells:
-    """The gain LP of any (chosen entries, entry bet against) cell of one
-    assessment, solved over the union of the chosen conditioning events."""
-
-    def __init__(self, entries, masks, rows):
-        self.entries = entries
-        self.masks = masks
-        self.rows = rows
-        self.n = entries[0][0].universe.size
-
-    def stakes(self, cls, chosen, against):
-        """(stakes in favour, stake against) of a violating gain, or None."""
-        union = 0
-        for k in chosen:
-            union |= self.masks[k]
-        cell = _cell(cls, chosen, against, self.rows, self.n)
-        x = _gain_lp(*cell, _world_indices(union, self.n))
-        return None if x is None else _stakes(cls, x, len(chosen))
-
-    def gain(self, chosen, against, favour, sigma) -> GainSpec:
-        """The gain with these stakes; the entry bet against is a last term."""
-        terms = tuple(GainTerm(s, *self.entries[k]) for s, k in zip(favour, chosen))
-        if sigma > 0:
-            return GainSpec(terms + (GainTerm(sigma, *self.entries[against]),), against=len(terms))
-        return GainSpec(terms)
+def _gain(entries, chosen, against, favour, sigma) -> GainSpec:
+    """The gain with these stakes; the entry bet against is a last term."""
+    terms = tuple(GainTerm(s, *entries[k]) for s, k in zip(favour, chosen))
+    if sigma > 0:
+        return GainSpec(terms + (GainTerm(sigma, *entries[against]),), against=len(terms))
+    return GainSpec(terms)
 
 
 def _rounds(masks, rows, n, both_ways, j0):
@@ -283,8 +267,8 @@ def _round_search(entries, cls) -> Optional[GainSpec]:
     sequence per entry bet against, over the rows shifted by that entry's
     row. A stall yields the witness: the cell LP on the stalled entries,
     solved again on the entries it stakes and the entry bet against."""
-    cells = _Cells(entries, *_rows(entries))
-    rows = cells.rows
+    masks, rows = _rows(entries)
+    n = len(rows[0])
     sequences = [] if cls == "convex" else [("asl" if cls == "W" else cls, None)]
     if cls in ("W", "convex"):
         sequences += [(cls, j0) for j0 in range(len(entries))]
@@ -292,14 +276,14 @@ def _round_search(entries, cls) -> Optional[GainSpec]:
         shifted = rows
         if stage == "convex":
             shifted = [[a - b for a, b in zip(row, rows[j0])] for row in rows]
-        live = _rounds(cells.masks, shifted, cells.n, stage == "dF", j0)
+        live = _rounds(masks, shifted, n, stage == "dF", j0)
         if live is None:
             continue
-        stakes = cells.stakes(stage, live, j0)
+        stakes = _violating_stakes(stage, live, j0, masks, rows)
         if stakes is None:
             raise AssertionError("a stalled round has a violating gain")
         chosen = [k for k, s in zip(live, stakes[0]) if s or k == j0]
-        return cells.gain(chosen, j0, *cells.stakes(stage, chosen, j0))
+        return _gain(entries, chosen, j0, *_violating_stakes(stage, chosen, j0, masks, rows))
     return None
 
 
@@ -313,11 +297,7 @@ def _one_convex_search(entries) -> Optional[GainSpec]:
                 continue
             left, right = rows[i], rows[j]
             if all(left[w] < right[w] for w in _world_indices(masks[i] | masks[j], n)):
-                terms = (
-                    GainTerm(_ONE, entries[i][0], entries[i][1]),
-                    GainTerm(_ONE, entries[j][0], entries[j][1]),
-                )
-                return GainSpec(terms, against=1)
+                return _gain(entries, [i], j, [_ONE], _ONE)
     return None
 
 

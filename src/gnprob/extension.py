@@ -64,39 +64,40 @@ class ExtensionInterval:
             )
 
 
+def _approximation(cd, p, true_part, false_part) -> Optional[ConditionalEvent]:
+    """``true_part`` of the true part, conditioned on that plus
+    ``false_part`` of the false part; None when that conditioning is empty."""
+    _require_same_universe(cd.conditioning, p)
+    conditioned = true_part(cd.conditioned, p)
+    conditioning = conditioned | false_part(cd.false_part, p)
+    return None if conditioning.is_empty else ConditionalEvent(conditioned, conditioning)
+
+
 def conditional_inner(cd: ConditionalEvent, p: Partition) -> Optional[ConditionalEvent]:
     """The GN-greatest p-measurable conditional event below cd: inner
     approximation of the true part, conditioned on that plus the outer
     approximation of the false part. None when the conditioning event
     degenerates to empty (possible only for trivial cd)."""
-    _require_same_universe(cd.conditioning, p)
-    true_in = inner_event(cd.conditioned, p)
-    false_out = outer_event(cd.false_part, p)
-    conditioning = true_in | false_out
-    if conditioning.is_empty:
-        return None
-    return ConditionalEvent(true_in, conditioning)
+    return _approximation(cd, p, inner_event, outer_event)
 
 
 def conditional_outer(cd: ConditionalEvent, p: Partition) -> Optional[ConditionalEvent]:
     """The GN-least p-measurable conditional event above cd; dual of
     :func:`conditional_inner`."""
-    _require_same_universe(cd.conditioning, p)
-    true_out = outer_event(cd.conditioned, p)
-    false_in = inner_event(cd.false_part, p)
-    conditioning = true_out | false_in
-    if conditioning.is_empty:
-        return None
-    return ConditionalEvent(true_out, conditioning)
+    return _approximation(cd, p, outer_event, inner_event)
+
+
+def _derived(cd: ConditionalEvent, p: Partition, derive) -> ConditionalEvent:
+    """``derive(cd, p)`` for a nontrivial target. Its true and false parts
+    are then nonempty, so both derived conditioning events are too."""
+    _require_nontrivial(cd)
+    return derive(cd, p)
 
 
 def extension_interval(mu: Evaluator, cd: ConditionalEvent, p: Partition) -> ExtensionInterval:
     """The closed interval of values consistent with ``mu`` for cd."""
-    _require_nontrivial(cd)
-    low_witness = conditional_inner(cd, p)
+    low_witness = _derived(cd, p, conditional_inner)
     high_witness = conditional_outer(cd, p)
-    if low_witness is None or high_witness is None:
-        raise ValidationError("degenerate target: inner or outer conditional event undefined")
     return ExtensionInterval(cd, mu(low_witness), mu(high_witness), low_witness, high_witness)
 
 
@@ -117,14 +118,7 @@ def natural_extension(
     if side not in ("lower", "upper"):
         raise ValidationError("side must be 'lower' or 'upper'")
     derive = conditional_inner if side == "lower" else conditional_outer
-    results = []
-    for cd in targets:
-        _require_nontrivial(cd)
-        witness = derive(cd, p)
-        if witness is None:
-            raise ValidationError("degenerate target")
-        results.append(mu(witness))
-    return results
+    return [mu(_derived(cd, p, derive)) for cd in targets]
 
 
 def upper_extension(mu: Evaluator, cd: ConditionalEvent, p: Partition) -> Fraction:
@@ -136,11 +130,7 @@ def upper_extension(mu: Evaluator, cd: ConditionalEvent, p: Partition) -> Fracti
         raise UnsupportedOperationError(
             "the upper extension is computed for a single additional event"
         )
-    _require_nontrivial(cd)
-    witness = conditional_outer(cd, p)
-    if witness is None:
-        raise ValidationError("degenerate target")
-    return mu(witness)
+    return mu(_derived(cd, p, conditional_outer))
 
 
 def df_to_imprecise(

@@ -31,7 +31,7 @@ from .algebra import (
     sup_over,
 )
 from .assessments import Assessment
-from .errors import EmptyConditioningError, ValidationError
+from .errors import EmptyConditioningError, UnsupportedOperationError, ValidationError
 from .extension import conditional_inner
 from .gn import GnVerdict, _gn_leq, _profiles
 
@@ -65,6 +65,11 @@ def _not_applicable(name: str, context: str) -> BoundReport:
     return BoundReport(name, None, None, None, False, context)
 
 
+def _compared(name: str, lhs: Fraction, rhs: Optional[Fraction], context: str) -> BoundReport:
+    """The applicable report of lhs <= rhs; ``holds`` is None when rhs is unknown."""
+    return BoundReport(name, lhs, rhs, None if rhs is None else lhs <= rhs, True, context)
+
+
 def product_rule_report(
     mu, a: Event, b: Event, x: Gamble
 ) -> tuple[BoundReport, BoundReport, BoundReport]:
@@ -94,15 +99,11 @@ def product_rule_report(
     product = p_a_given_b * p_x_given_ab
 
     if p_x_given_ab > 0:
-        positive = BoundReport(
-            "product-rule-positive", product, p_ax_given_b, product <= p_ax_given_b, True, context
-        )
+        positive = _compared("product-rule-positive", product, p_ax_given_b, context)
     else:
         positive = _not_applicable("product-rule-positive", context)
     if p_x_given_ab < 0:
-        negative = BoundReport(
-            "product-rule-negative", p_ax_given_b, product, p_ax_given_b <= product, True, context
-        )
+        negative = _compared("product-rule-negative", p_ax_given_b, product, context)
     else:
         negative = _not_applicable("product-rule-negative", context)
     if p_a_given_b == 0 and p_x_given_ab < 0:
@@ -160,7 +161,9 @@ def nested_conditioning_report(
     the price of the called-off gamble B1*X given B0 is at most the price
     of X given B1, and when the product of that price with the price of
     B1 given B0 is positive the quotient bounds the price of X given B1
-    from above.
+    from above. The gamble reports are for lower previsions only: their
+    upper form is false, so ``side="upper"`` with a gamble raises
+    UnsupportedOperationError.
     """
     if not b1 <= b0:
         raise ValidationError("B1 must imply B0")
@@ -168,6 +171,8 @@ def nested_conditioning_report(
         raise EmptyConditioningError("B1 must be nonempty")
     if side not in ("lower", "upper"):
         raise ValidationError("side must be 'lower' or 'upper'")
+    if side == "upper" and not isinstance(a_or_x, Event):
+        raise UnsupportedOperationError("the gamble reports are for lower previsions only")
     evaluate = mu.lower if side == "lower" else mu.upper
     context = f"B1={b1!r} B0={b0!r}"
 
@@ -175,44 +180,32 @@ def nested_conditioning_report(
         a = a_or_x
         refinement_applicable = (a & b0 & ~b1).is_empty
         if refinement_applicable:
-            lhs = evaluate(ConditionalEvent(a, b0))
-            rhs = evaluate(ConditionalEvent(a, b1))
-            refinement = BoundReport(
-                "nested-refinement", lhs, rhs, lhs <= rhs, True, context
+            refinement = _compared(
+                "nested-refinement",
+                evaluate(ConditionalEvent(a, b0)),
+                evaluate(ConditionalEvent(a, b1)),
+                context,
             )
         else:
             refinement = _not_applicable("nested-refinement", context)
-        lhs = evaluate(ConditionalEvent(a & b1, b0))
-        rhs = evaluate(ConditionalEvent(a, b1))
-        numerator = BoundReport(
-            "nested-numerator", lhs, rhs, lhs <= rhs, True, context
+        numerator = _compared(
+            "nested-numerator",
+            evaluate(ConditionalEvent(a & b1, b0)),
+            evaluate(ConditionalEvent(a, b1)),
+            context,
         )
         return [refinement, numerator]
 
     x = a_or_x
-    reports = []
-    restricted = ConditionalGamble(Gamble.indicator(b1) * x, b0)
-    original = ConditionalGamble(x, b1)
-    if inf_over(x, b1) >= 0:
-        lhs = mu.lower(restricted)
-        rhs = mu.lower(original)
-        reports.append(
-            BoundReport("restricted-gamble-lower", lhs, rhs, lhs <= rhs, True, context)
-        )
-        p_b1 = mu.lower(ConditionalEvent(b1, b0))
-        if rhs * p_b1 > 0:
-            upper_bound = lhs / p_b1
-            reports.append(
-                BoundReport(
-                    "restricted-gamble-upper", rhs, upper_bound, rhs <= upper_bound, True, context
-                )
-            )
-        else:
-            reports.append(_not_applicable("restricted-gamble-upper", context))
-    else:
-        reports.append(_not_applicable("restricted-gamble-lower", context))
-        reports.append(_not_applicable("restricted-gamble-upper", context))
-    return reports
+    quotient = _not_applicable("restricted-gamble-upper", context)
+    if inf_over(x, b1) < 0:
+        return [_not_applicable("restricted-gamble-lower", context), quotient]
+    lhs = mu.lower(ConditionalGamble(Gamble.indicator(b1) * x, b0))
+    rhs = mu.lower(ConditionalGamble(x, b1))
+    p_b1 = mu.lower(ConditionalEvent(b1, b0))
+    if rhs * p_b1 > 0:
+        quotient = _compared("restricted-gamble-upper", rhs, lhs / p_b1, context)
+    return [_compared("restricted-gamble-lower", lhs, rhs, context), quotient]
 
 
 def inner_event_lower_bound(
@@ -241,8 +234,7 @@ def inner_event_lower_bound(
     bound = mu.lower(ConditionalEvent(b_in, b_out)) * mu.lower(ConditionalGamble(x, b_in))
     bound += mu.upper(ConditionalEvent(~b_in, b_out)) * inf_over(x, b)
     rhs = truth(ConditionalGamble(x, b)) if truth is not None else None
-    holds = None if rhs is None else bound <= rhs
-    return BoundReport("inner-approximation", bound, rhs, holds, True, context)
+    return _compared("inner-approximation", bound, rhs, context)
 
 
 def finite_values_lower_bound(
@@ -274,17 +266,10 @@ def finite_values_lower_bound(
             if x.values[i] == value:
                 level_mask |= 1 << i
         level = ConditionalEvent(Event(universe, level_mask), b)
-        if level.is_trivial:
-            weight = _ONE
-        else:
-            inner = conditional_inner(level, p)
-            if inner is None:
-                raise AssertionError("a nontrivial conditional event has a nonempty inner conditioning")
-            weight = mu.lower(inner)
+        weight = _ONE if level.is_trivial else mu.lower(conditional_inner(level, p))
         bound += value * weight
     rhs = truth(ConditionalGamble(x, b)) if truth is not None else None
-    holds = None if rhs is None else bound <= rhs
-    return BoundReport("level-set-bound", bound, rhs, holds, True, context)
+    return _compared("level-set-bound", bound, rhs, context)
 
 
 @dataclass(frozen=True)

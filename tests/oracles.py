@@ -193,12 +193,12 @@ def grid_search(assessment: Assessment, cls: str) -> Optional[GainSpec]:
     entries = list(assessment.entries)
     if cls == "convex":
         entries, _ = oracle_with_centering(entries)
-    cells = coherence._Cells(entries, *coherence._rows(entries))
+    masks, rows = coherence._rows(entries)
     m = len(entries)
     for subset in range(1, 1 << m):
         chosen = [k for k in range(m) if (subset >> k) & 1]
         for against in chosen if cls in ("W", "convex") else (None,):
-            stakes = cells.stakes(cls, chosen, against)
+            stakes = coherence._violating_stakes(cls, chosen, against, masks, rows)
             if stakes is not None:
-                return cells.gain(chosen, against, *stakes)
+                return coherence._gain(entries, chosen, against, *stakes)
     return None

@@ -32,6 +32,10 @@ from conftest import (
 from oracles import gn_lower_set, gn_upper_set, iter_conditional_domain
 
 
+def _never_called(cd):
+    pytest.fail(f"the evaluator was called at {cd!r}")
+
+
 class TestConditionalInnerOuter:
     def test_football_outer(self, football):
         outer = conditional_outer(football.sweden_given_final, football.teams)
@@ -149,6 +153,23 @@ class TestExtensionInterval:
                 ConditionalEvent(football.universe.empty, football.final),
                 football.teams,
             )
+
+    def test_trivial_targets_rejected_exhaustive_small(self):
+        # Every A|B with an empty conditioned part or equal to B|B, under
+        # every partition: no extension function values a trivial target.
+        for n in (2, 3, 4):
+            u = make_universe(n)
+            trivial = [cd for cd in all_conditional_events(u) if cd.is_trivial]
+            assert len(trivial) == 2 * ((1 << n) - 1)
+            for p in all_set_partitions(u):
+                for cd in trivial:
+                    with pytest.raises(TrivialTargetError):
+                        extension_interval(_never_called, cd, p)
+                    for side in ("lower", "upper"):
+                        with pytest.raises(TrivialTargetError):
+                            natural_extension(_never_called, [cd], p, side)
+                    with pytest.raises(TrivialTargetError):
+                        upper_extension(_never_called, cd, p)
 
     def test_low_at_most_high_randomized(self):
         rng = random.Random(31)

@@ -9,12 +9,15 @@ from gnprob import (
     Assessment,
     ConditionalEvent,
     ConditionalGamble,
+    CredalSet,
     EmptyConditioningError,
     Event,
     Gamble,
     GnVerdict,
     LayeredProbability,
     Partition,
+    Universe,
+    UnsupportedOperationError,
     ValidationError,
     finite_values_lower_bound,
     gn_leq_gambles,
@@ -224,6 +227,27 @@ class TestNestedConditioning:
         m = random_credal(0, u, 1)
         with pytest.raises(ValidationError):
             nested_conditioning_report(m, u.event(["w1"]), u.event(["w2"]), u.event(["w1"]))
+
+    def test_upper_side_refused_for_a_gamble(self):
+        # The quotient bound fails for upper previsions: here U(X|B1) = 91/10
+        # exceeds U(B1 X|B0) / U(B1|B0) = (7/5) / (19/20) = 28/19.
+        u = Universe(("a", "b", "c"))
+        m = CredalSet(
+            [
+                LayeredProbability(u, [[Fraction(9, 10), Fraction(1, 20), Fraction(1, 20)]]),
+                LayeredProbability(u, [[Fraction(1, 200), Fraction(9, 200), Fraction(190, 200)]]),
+            ]
+        )
+        x = Gamble(u, [1, 10, 0])
+        b1, b0 = u.event(["a", "b"]), u.omega
+        upper_x = m.upper(ConditionalGamble(x, b1))
+        quotient = m.upper(ConditionalGamble(Gamble.indicator(b1) * x, b0)) / m.upper(
+            ConditionalEvent(b1, b0)
+        )
+        assert (upper_x, quotient) == (Fraction(91, 10), Fraction(28, 19))
+        with pytest.raises(UnsupportedOperationError):
+            nested_conditioning_report(m, x, b1, b0, side="upper")
+        assert all(r.holds for r in nested_conditioning_report(m, x, b1, b0))
 
     def test_event_reports_hold_for_upper_envelopes(self):
         rng = random.Random(9)
