@@ -100,13 +100,14 @@ def _require_same_universe(left, right) -> None:
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class Event:
-    """A subset of a universe's worlds, stored as a bitmask."""
+    """A subset of a universe's worlds, stored as a bitmask that must be an ``int``."""
 
     universe: Universe
     mask: int
 
     def __init__(self, universe: Universe, mask: int):
-        mask = int(mask)
+        if type(mask) is not int:
+            raise ValidationError(f"an event mask is an int, not {type(mask).__name__}: {mask!r}")
         if mask < 0 or mask >> universe.size:
             raise ValidationError(f"mask {mask:#x} does not fit a {universe.size}-world universe")
         object.__setattr__(self, "universe", universe)

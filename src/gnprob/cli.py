@@ -36,12 +36,17 @@ false are not rationals. A universe may have at most ``MAX_WORLDS``
 worlds, and ``sample`` takes 1 to ``MAX_WORLDS`` worlds, 1 to
 ``MAX_MEMBERS`` members and 1 to ``MAX_LAYERS`` layers.
 
-Commands: check, gn, extend, audit, bounds, sample. Exit status is 0
-when the queried property holds (consistent, no violations), 1 when it
-fails, 2 for usage or input errors and 3 for an internal error (a bug:
-an unexpected exception, reported in one line without a traceback).
-Every command accepts ``--format json`` for structured output;
-identical inputs produce byte-identical output.
+Commands: check, gn, extend, audit, bounds, sample. A command that
+reads a file returns its JSON record, its text lines and whether the
+queried property holds; ``main`` alone loads the file, writes the record
+(``--format json``, every rational as its 'p/q' string) or the lines,
+and chooses the exit status in one place: 0 when the property holds
+(consistent, no violations), 1 when it fails, 2 for usage or input
+errors and 3 for an internal error (a bug: an unexpected exception,
+reported in one line without a traceback). ``sample`` reads no file and
+prints a JSON problem fragment whatever ``--format`` says. ``bounds``
+refuses any flag that its ``--kind`` does not read. Identical inputs
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -49,7 +54,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 from .algebra import (
@@ -317,9 +323,7 @@ _SECTIONS = (
 def _layered_spec(lp: LayeredProbability) -> list[dict]:
     """A layered probability as its list of world-to-mass objects, zero masses left out."""
     worlds = lp.universe.worlds
-    return [
-        {w: str(layer[i]) for i, w in enumerate(worlds) if layer[i] != 0} for layer in lp.layers
-    ]
+    return [{w: layer[i] for i, w in enumerate(worlds) if layer[i] != 0} for layer in lp.layers]
 
 
 def load_problem(path: str) -> Problem:
@@ -335,19 +339,26 @@ def load_problem(path: str) -> Problem:
 # Rendering
 
 
+def _rational(value) -> str:
+    """The JSON writer's hook: a rational is written as its 'p/q' string."""
+    if not isinstance(value, Fraction):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return str(value)
+
+
 def _witness_dict(witness: GainSpec) -> dict:
     universe = witness.universe
     return {
         "against": witness.against,
-        "conditioned_max": str(conditioned_max(witness)),
+        "conditioned_max": conditioned_max(witness),
         "conditioning": list(witness.conditioning().worlds()),
         "terms": [
             {
-                "stake": str(term.stake),
-                "value": str(term.value),
+                "stake": term.stake,
+                "value": term.value,
                 "given": list(term.gamble.conditioning.worlds()),
                 "payoff": {
-                    w: str(term.gamble.payoff.values[i])
+                    w: term.gamble.payoff.values[i]
                     for i, w in enumerate(universe.worlds)
                     if (term.gamble.conditioning.mask >> i) & 1
                 },
@@ -365,14 +376,6 @@ def _witness_lines(witness: GainSpec) -> list[str]:
     return lines
 
 
-def _emit(args, record: dict, text_lines: list[str]) -> None:
-    if args.format == "json":
-        print(json.dumps(record, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 def _report_lines(reports: list[BoundReport]) -> list[str]:
     lines = []
     for r in reports:
@@ -386,10 +389,13 @@ def _report_lines(reports: list[BoundReport]) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # Commands
+#
+# A file command takes the loaded problem and the parsed arguments and
+# returns (record, lines, holds): the JSON record, the text lines and
+# whether the queried property holds. ``main`` writes one or the other.
 
 
-def cmd_check(args) -> int:
-    problem = load_problem(args.file)
+def cmd_check(problem: Problem, args):
     assessment = _named(problem.assessments, args.assessment, "assessment")
     cls = args.cls or assessment.consistency
     if cls is None:
@@ -398,7 +404,6 @@ def cmd_check(args) -> int:
         )
     verdict = check(assessment, cls)
     record = {
-        "command": "check",
         "assessment": args.assessment,
         "class": normalize_class(cls),
         "consistent": verdict.consistent,
@@ -409,40 +414,30 @@ def cmd_check(args) -> int:
     if verdict.witness is not None:
         lines += _witness_lines(verdict.witness)
     lines += [f"note: added centering entry {extra!r} valued 0" for extra in verdict.centering]
-    _emit(args, record, lines)
-    return EXIT_OK if verdict.consistent else EXIT_FAIL
+    return record, lines, verdict.consistent
 
 
-def cmd_gn(args) -> int:
-    problem = load_problem(args.file)
+def cmd_gn(problem: Problem, args):
     left = problem.parse_conditional(args.left, args.gambles)
     right = problem.parse_conditional(args.right, args.gambles)
     verdict = (gn_compare_gambles if args.gambles else gn_compare)(left, right)
-    record = {
-        "command": "gn",
-        "left": args.left,
-        "right": args.right,
-        "verdict": verdict.value,
-    }
-    _emit(args, record, [verdict.value])
-    return EXIT_OK
+    return {"left": args.left, "right": args.right, "verdict": verdict.value}, [verdict.value], True
 
 
-def cmd_extend(args) -> int:
-    problem = load_problem(args.file)
+def cmd_extend(problem: Problem, args):
     partition = problem.resolve_partition(args.partition)
     evaluate = getattr(problem.evaluator(args.evaluator), args.side)
     targets = [problem.parse_conditional(t) for t in args.target]
     if args.mode != "natural" and len(targets) != 1:
         raise ValidationError(f"{args.mode} mode takes exactly one target")
 
-    record = {"command": "extend", "mode": args.mode}
+    record = {"mode": args.mode}
     if args.mode == "interval":
         interval = extension_interval(evaluate, targets[0], partition)
         record.update(
             target=args.target[0],
-            low=str(interval.low),
-            high=str(interval.high),
+            low=interval.low,
+            high=interval.high,
             low_witness=repr(interval.low_witness),
             high_witness=repr(interval.high_witness),
         )
@@ -452,29 +447,26 @@ def cmd_extend(args) -> int:
             f"outer: {interval.high_witness!r}",
         ]
     elif args.mode == "upper":
-        value = str(upper_extension(evaluate, targets[0], partition))
+        value = upper_extension(evaluate, targets[0], partition)
         record.update(target=args.target[0], value=value)
-        lines = [value]
+        lines = [str(value)]
     else:
         values = natural_extension(evaluate, targets, partition, side=args.side)
-        record.update(side=args.side, targets=list(args.target), values=[str(v) for v in values])
-        lines = [" ".join(record["values"])]
-    _emit(args, record, lines)
-    return EXIT_OK
+        record.update(side=args.side, targets=list(args.target), values=values)
+        lines = [" ".join(map(str, values))]
+    return record, lines, True
 
 
-def cmd_audit(args) -> int:
-    problem = load_problem(args.file)
+def cmd_audit(problem: Problem, args):
     violations = monotonicity_audit(_named(problem.assessments, args.assessment, "assessment"))
     record = {
-        "command": "audit",
         "assessment": args.assessment,
         "violations": [
             {
                 "left": repr(v.left),
                 "right": repr(v.right),
-                "left_value": str(v.left_value),
-                "right_value": str(v.right_value),
+                "left_value": v.left_value,
+                "right_value": v.right_value,
             }
             for v in violations
         ],
@@ -482,12 +474,26 @@ def cmd_audit(args) -> int:
     lines = [
         f"{v.left!r} <=GN {v.right!r} but {v.left_value} > {v.right_value}" for v in violations
     ]
-    _emit(args, record, lines or ["no violations"])
-    return EXIT_OK if not violations else EXIT_FAIL
+    return record, lines or ["no violations"], not violations
 
 
-def cmd_bounds(args) -> int:
-    problem = load_problem(args.file)
+# The options each ``bounds --kind`` reads; it refuses any other, rather than drop it.
+_BOUNDS_READS = {
+    "sign": {"gamble", "b1", "b0"},
+    "product": {"evaluator", "event_a", "event_b", "gamble"},
+    "nested": {"evaluator", "gamble", "event_a", "b1", "b0"},
+    "inner": {"evaluator", "gamble", "event_b", "partition", "truth"},
+    "levels": {"evaluator", "gamble", "event_b", "partition", "truth"},
+}
+
+
+def cmd_bounds(problem: Problem, args):
+    # the options in the order the parser declares them
+    for name in ("evaluator", "event_a", "event_b", "b1", "b0", "gamble", "partition", "truth"):
+        if getattr(args, name) is not None and name not in _BOUNDS_READS[args.kind]:
+            raise ValidationError(f"--kind {args.kind} does not read --{name.replace('_', '-')}")
+    if args.kind == "nested" and args.gamble is not None and args.event_a is not None:
+        raise ValidationError("--kind nested reads --gamble or --event-a, not both")
 
     def required(flag, resolve=problem.resolve_event):
         """The object named by ``flag``, which this kind requires: an event
@@ -506,15 +512,13 @@ def cmd_bounds(args) -> int:
     if args.kind == "sign":
         report = sign_relation(gamble(), required("--b1"), required("--b0"))
         record = {
-            "command": "bounds",
             "kind": "sign",
             "verdict": report.verdict.value,
-            "inf_on_b1": str(report.inf_on_b1),
-            "sup_on_b1": str(report.sup_on_b1),
+            "inf_on_b1": report.inf_on_b1,
+            "sup_on_b1": report.sup_on_b1,
             "rationale": report.rationale,
         }
-        _emit(args, record, [f"{report.verdict.value} ({report.rationale})"])
-        return EXIT_OK
+        return record, [f"{report.verdict.value} ({report.rationale})"], True
 
     if args.kind == "product":
         reports = list(
@@ -536,18 +540,13 @@ def cmd_bounds(args) -> int:
                 else _named(problem.layered, args.truth, "layered probability").value,
             )
         ]
-
-    record = {
-        "command": "bounds",
-        "kind": args.kind,
-        "reports": [r.as_dict() for r in reports],
-    }
-    _emit(args, record, _report_lines(reports))
-    failed = any(r.applicable and r.holds is False for r in reports)
-    return EXIT_FAIL if failed else EXIT_OK
+    record = {"kind": args.kind, "reports": [asdict(r) for r in reports]}
+    holds = not any(r.applicable and r.holds is False for r in reports)
+    return record, _report_lines(reports), holds
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> dict:
+    """A problem-file fragment holding one seeded random credal set."""
     for flag, value, cap in (
         ("--worlds", args.worlds, MAX_WORLDS),
         ("--members", args.members, MAX_MEMBERS),
@@ -557,12 +556,10 @@ def cmd_sample(args) -> int:
             raise ValidationError(f"{flag}: {value} is outside 1..{cap}")
     universe = Universe(tuple(f"w{i + 1}" for i in range(args.worlds)))
     credal = random_credal(args.seed, universe, args.members, args.layers)
-    fragment = {
+    return {
         "universe": list(universe.worlds),
         "credal": {"sampled": [_layered_spec(member) for member in credal.members]},
     }
-    print(json.dumps(fragment, indent=2, sort_keys=True))
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -627,10 +624,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "sample":  # reads no file; its fragment is JSON whatever --format says
+            document, lines, holds = cmd_sample(args), None, True
+        else:
+            record, lines, holds = args.func(load_problem(args.file), args)
+            document = {"command": args.command, **record}
+        if lines is None or args.format == "json":
+            print(json.dumps(document, indent=2, sort_keys=True, default=_rational))
+        else:
+            for line in lines:
+                print(line)
+        return EXIT_OK if holds else EXIT_FAIL
     except (GnprobError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -50,16 +50,6 @@ class BoundReport:
     applicable: bool
     context: str
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": None if self.lhs is None else str(self.lhs),
-            "rhs": None if self.rhs is None else str(self.rhs),
-            "holds": self.holds,
-            "applicable": self.applicable,
-            "context": self.context,
-        }
-
 
 def _not_applicable(name: str, context: str) -> BoundReport:
     return BoundReport(name, None, None, None, False, context)

@@ -68,6 +68,14 @@ class TestUniverseAndEvent:
         b = make_universe(2).event(["w2"])
         assert (a | b).is_omega
 
+    @pytest.mark.parametrize(
+        "mask", [1.5, Fraction(7, 2), Fraction(3), True, "3", None, -1, 8], ids=repr
+    )
+    def test_mask_is_an_int_that_fits(self, mask):
+        # a mask is never coerced: int(1.5) would silently be {w1}
+        with pytest.raises(ValidationError):
+            Event(make_universe(3), mask)
+
 
 class TestPartition:
     def test_validation(self):

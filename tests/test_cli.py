@@ -5,6 +5,8 @@ import re
 import subprocess
 import sys
 import time
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -487,6 +489,39 @@ class TestBoundsCommand:
         assert (code, out) == (2, "")
         assert err == f"error: --kind {argv[1]} needs {flag}\n"
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--kind", "sign", "--gamble", "payout", "--b1", "SB", "--b0", "SB",
+              "--evaluator", "M"], "--evaluator"),
+            (["--kind", "product", "--evaluator", "M", "--event-a", "S", "--event-b", "F",
+              "--gamble", "payout", "--truth", "uniform"], "--truth"),
+            # several unread flags: the first the parser declares is named
+            (["--kind", "product", "--evaluator", "M", "--event-a", "S", "--event-b", "F",
+              "--gamble", "payout", "--truth", "uniform", "--partition", "teams", "--b1", "S"], "--b1"),
+            (["--kind", "nested", "--evaluator", "M", "--event-a", "S", "--b1", "SB", "--b0", "SB",
+              "--partition", "teams"], "--partition"),
+            (["--kind", "inner", "--evaluator", "uniform", "--gamble", "payout", "--event-b", "F",
+              "--b0", "S"], "--b0"),
+            (["--kind", "levels", "--evaluator", "uniform", "--gamble", "payout", "--event-b", "F",
+              "--event-a", "S"], "--event-a"),
+        ],
+        ids=["sign", "product", "product-first-of-three", "nested", "inner", "levels"],
+    )
+    def test_unread_flag_is_refused(self, argv, flag, capsys):
+        code, out, err = run_cli(["bounds", FOOTBALL, *argv], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --kind {argv[1]} does not read {flag}\n"
+
+    def test_nested_takes_a_gamble_or_an_event_not_both(self, capsys):
+        argv = [
+            "--kind", "nested", "--evaluator", "M", "--gamble", "payout", "--event-a", "S",
+            "--b1", "SB", "--b0", "SB",
+        ]
+        code, out, err = run_cli(["bounds", FOOTBALL, *argv], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: --kind nested reads --gamble or --event-a, not both\n"
+
 
 class TestSampleCommand:
     def test_deterministic_fragment(self, capsys):
@@ -547,9 +582,15 @@ class TestDeterminismAndRoundTrip:
         assert reloaded.credal == problem.credal
         assert reloaded.assessments == problem.assessments
         # a second trip is byte-stable
-        assert json.dumps(to_dict(reloaded), sort_keys=True) == json.dumps(
-            to_dict(problem), sort_keys=True
+        assert json.dumps(to_dict(reloaded), sort_keys=True, default=cli._rational) == json.dumps(
+            to_dict(problem), sort_keys=True, default=cli._rational
         )
+
+    def test_json_writes_rationals_only_as_strings(self):
+        assert cli._rational(Fraction(-3, 5)) == "-3/5"
+        for value in (1.5, Decimal("1.5"), object()):
+            with pytest.raises(TypeError):
+                cli._rational(value)
 
     def test_byte_identical_output(self):
         cmd = [

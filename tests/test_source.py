@@ -86,3 +86,18 @@ def test_imports_pinned():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 found.add(node.module.split(".")[0])
     assert found == STDLIB_IMPORTS
+
+
+def test_commands_neither_load_nor_write():
+    # ``main`` alone loads the problem file and writes the output, so that
+    # every command shares one frame: each ``cmd_*`` returns what it found.
+    tree = ast.parse((SRC / "cli.py").read_text())
+    commands = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name.startswith("cmd_")]
+    found = [
+        f"{command.name}:{call.lineno} {ast.unparse(call.func)}"
+        for command in commands
+        for call in ast.walk(command)
+        if isinstance(call, ast.Call)
+        and ast.unparse(call.func) in ("print", "load_problem", "json.dumps")
+    ]
+    assert len(commands) == 6 and not found, found
