@@ -13,7 +13,9 @@ conditional event is intersected with the conditioning event, and the
 payoff of a conditional gamble is zeroed outside it.
 
 Every type here is a frozen dataclass: an immutable value, equal and
-hashed by its fields, so values can key dicts and sets. Events, gambles
+hashed by its fields, so values can key dicts and sets. Events and
+gambles leave their universe out of the hash, which would otherwise
+walk every world name; equality still compares it. Events, gambles
 and conditional objects are slotted and keep their own validating
 constructors. All operations are pure functions, safe to share across
 threads. Only exact rationals are admitted as numbers; floats raise
@@ -22,7 +24,7 @@ immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -30,9 +32,15 @@ from .errors import EmptyConditioningError, UniverseMismatchError, ValidationErr
 
 RationalLike = Union[int, str, Fraction]
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce ``value`` to an exact :class:`Fraction`; floats are refused."""
+    """Coerce ``value`` to an exact :class:`Fraction`; floats are refused.
+    A value whose type is exactly ``Fraction`` is returned as it is."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise ValidationError(
             f"floats are not exact: {value!r}; pass an int, a 'p/q' string or a Fraction"
@@ -102,7 +110,7 @@ def _require_same_universe(left, right) -> None:
 class Event:
     """A subset of a universe's worlds, stored as a bitmask that must be an ``int``."""
 
-    universe: Universe
+    universe: Universe = field(hash=False)
     mask: int
 
     def __init__(self, universe: Universe, mask: int):
@@ -217,12 +225,12 @@ class Gamble:
     mapping from world names to rationals; missing names default to 0.
     """
 
-    universe: Universe
+    universe: Universe = field(hash=False)
     values: tuple[Fraction, ...]
 
     def __init__(self, universe: Universe, values):
         if isinstance(values, Mapping):
-            table = [Fraction(0)] * universe.size
+            table = [_ZERO] * universe.size
             for name, v in values.items():
                 table[universe.index(name)] = as_fraction(v)
         else:
@@ -239,7 +247,7 @@ class Gamble:
     def indicator(cls, event: Event) -> Gamble:
         return cls(
             event.universe,
-            [Fraction(1) if (event.mask >> i) & 1 else Fraction(0) for i in range(event.universe.size)],
+            [_ONE if (event.mask >> i) & 1 else _ZERO for i in range(event.universe.size)],
         )
 
     @classmethod
@@ -329,7 +337,9 @@ class ConditionalGamble:
         _require_same_universe(payoff, conditioning)
         if conditioning.is_empty:
             raise EmptyConditioningError("conditioning event must be nonempty")
-        object.__setattr__(self, "payoff", payoff * Gamble.indicator(conditioning))
+        mask = conditioning.mask
+        zeroed = [v if (mask >> i) & 1 else _ZERO for i, v in enumerate(payoff.values)]
+        object.__setattr__(self, "payoff", Gamble(payoff.universe, zeroed))
         object.__setattr__(self, "conditioning", conditioning)
 
     @classmethod

@@ -623,8 +623,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process; parse_args only reads it, so calls share nothing.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "sample":  # reads no file; its fragment is JSON whatever --format says
             document, lines, holds = cmd_sample(args), None, True

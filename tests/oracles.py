@@ -12,6 +12,10 @@ direct ``Fraction`` versions, world by world, which the integer kernels
 must agree with exactly. ``oracle_with_centering`` finds the centering
 entries of a convex check by building and looking up every ``0|B``.
 
+``ConditionalGamble`` zeroes its payoff off B by the bits of B's mask;
+``oracle_conditional_payoff`` multiplies by the indicator of B instead,
+and the two must be equal.
+
 The library decides consistency by zero-layer rounds. ``grid_search``
 solves the gain LP of every (subfamily, entry bet against) cell instead,
 2^m - 1 subfamilies, and the two must agree on every verdict.
@@ -130,6 +134,11 @@ def oracle_prevision(lp: LayeredProbability, cg: ConditionalGamble) -> Fraction:
             )
             return total / denom
     raise AssertionError("layer supports cover the universe")
+
+
+def oracle_conditional_payoff(payoff: Gamble, b: Event) -> Gamble:
+    """The payoff of X|B zeroed off B, as the product X * 1_B."""
+    return payoff * Gamble.indicator(b)
 
 
 def oracle_gn_leq_gambles(xb: ConditionalGamble, yd: ConditionalGamble) -> bool:

@@ -17,6 +17,7 @@ from gnprob import (
     UniverseMismatchError,
     Universe,
     ValidationError,
+    as_fraction,
     generated_partition,
     inf_over,
     inner_event,
@@ -251,6 +252,20 @@ class TestGambles:
         u = make_universe(2)
         with pytest.raises(ValidationError):
             Gamble(u, [0.5, 0.5])
+
+    def test_as_fraction_keeps_a_fraction_and_refuses_the_rest(self):
+        f = Fraction(3, 7)
+        assert as_fraction(f) is f
+        for value in (1.5, 0.0, "1.5e", None):
+            with pytest.raises(ValidationError):
+                as_fraction(value)
+
+        class Half(Fraction):
+            pass
+
+        half = as_fraction(Half(1, 2))
+        assert type(half) is Fraction and half == Fraction(1, 2)
+        assert type(as_fraction("2/4")) is Fraction and as_fraction(3) == Fraction(3)
 
     def test_arithmetic(self):
         u = make_universe(2)

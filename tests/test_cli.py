@@ -612,3 +612,38 @@ class TestConsoleEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout.strip() == "consistent"
+
+
+class TestParserReuse:
+    """``main`` parses with one parser built at import. A run after a usage
+    error, ``--help`` or a ``--format json`` run prints what a fresh process
+    prints, so no default or command leaks from one call to the next."""
+
+    SEQUENCE = [
+        ["extend", FOOTBALL, "M", "S|F", "--mode", "sideways"],
+        ["--help"],
+        ["extend", FOOTBALL, "M", "S|F", "--mode", "interval", "--format", "json"],
+        ["extend", FOOTBALL, "M", "S|F", "--mode", "interval"],
+    ]
+
+    def test_each_call_matches_a_fresh_process(self, monkeypatch, capsys):
+        # Help is wrapped to the terminal width; the subprocesses inherit it too.
+        monkeypatch.setenv("COLUMNS", "80")
+        in_process = []
+        for argv in self.SEQUENCE:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse exits on a usage error and on --help
+                code = exc.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        alone = []
+        for argv in self.SEQUENCE:
+            result = subprocess.run(
+                [sys.executable, "-m", "gnprob.cli", *argv],
+                capture_output=True,
+                text=True,
+            )
+            alone.append((result.returncode, result.stdout, result.stderr))
+        assert [code for code, _, _ in in_process] == [2, 0, 0, 0]
+        assert in_process == alone

@@ -1,5 +1,5 @@
-"""The integer evaluators, the integer GN kernel and the centering of convex
-checks against their oracles."""
+"""The canonical conditional payoff, the integer evaluators, the integer GN
+kernel and the centering of convex checks against their oracles."""
 
 import random
 from fractions import Fraction
@@ -22,6 +22,7 @@ from gnprob.coherence import _with_centering
 
 from conftest import make_universe
 from oracles import (
+    oracle_conditional_payoff,
     oracle_gn_leq_gambles,
     oracle_monotonicity_audit,
     oracle_prevision,
@@ -53,6 +54,24 @@ def nonempty_mask(rng, within):
         mask = rng.getrandbits(within.bit_length()) & within
         if mask:
             return mask
+
+
+class TestCanonicalPayoffAgainstOracle:
+    def test_seeded_payoffs_equal(self):
+        kinds = {"omega": 0, "singleton": 0, "other": 0}
+        for seed in range(200):
+            rng = random.Random(seed)
+            u = make_universe(rng.randint(1, 8))
+            x = fractional_gamble(rng, u)
+            masks = [u.omega.mask, 1 << rng.randrange(u.size), nonempty_mask(rng, u.omega.mask)]
+            for mask in masks:
+                b = Event(u, mask)
+                payoff = ConditionalGamble(x, b).payoff
+                assert payoff == oracle_conditional_payoff(x, b)
+                assert all(type(v) is Fraction for v in payoff.values)
+                kind = "omega" if b.is_omega else "singleton" if len(b) == 1 else "other"
+                kinds[kind] += 1
+        assert min(kinds.values()) > 50
 
 
 class TestEvaluatorsAgainstOracle:

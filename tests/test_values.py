@@ -12,6 +12,7 @@ from gnprob import (
     Event,
     Gamble,
     LayeredProbability,
+    Universe,
 )
 from conftest import make_universe
 
@@ -91,3 +92,19 @@ def test_other_type_compares_unequal(name):
     assert value != other and other != value
     assert not value == other
 
+
+
+def test_universe_is_compared_but_not_hashed(monkeypatch):
+    """The hash of an event, a gamble or a conditional object skips the
+    universe, whose hash walks every world name; equality still reads it."""
+    other = Universe(("v1", "v2", "v3"))
+    assert Event(U, 0b101) != Event(other, 0b101)
+    assert Gamble(U, [1, 2, 3]) != Gamble(other, [1, 2, 3])
+    assert len({Event(U, 0b101), Event(other, 0b101)}) == 2
+
+    def refuse(self):
+        raise AssertionError("a universe was hashed")
+
+    monkeypatch.setattr(Universe, "__hash__", refuse)
+    for name in ("Event", "Gamble", "ConditionalEvent", "ConditionalGamble"):
+        hash(VALUES[name][0])
