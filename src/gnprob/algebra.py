@@ -67,6 +67,7 @@ class Universe:
         if len(set(worlds)) != len(worlds):
             raise ValidationError(f"world names must be distinct: {worlds}")
         object.__setattr__(self, "_positions", {w: i for i, w in enumerate(worlds)})
+        object.__setattr__(self, "_omega", Event(self, (1 << len(worlds)) - 1))
 
     @property
     def size(self) -> int:
@@ -91,7 +92,7 @@ class Universe:
 
     @property
     def omega(self) -> Event:
-        return Event(self, (1 << self.size) - 1)
+        return self._omega  # type: ignore[attr-defined]
 
     @property
     def empty(self) -> Event:

@@ -100,8 +100,8 @@ class Assessment:
             raise ValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.consistency is not None:
             object.__setattr__(self, "consistency", normalize_class(self.consistency))
-        cleaned: list[tuple[ConditionalGamble, Fraction]] = []
-        values: dict[ConditionalGamble, Fraction] = {}
+        # One universe: a mask and payoff ratios key a gamble, hashed without Fraction.__hash__.
+        unique: dict[tuple, tuple[ConditionalGamble, Fraction]] = {}
         universe = None
         for gamble, value in self.entries:
             if not isinstance(gamble, ConditionalGamble):
@@ -111,15 +111,11 @@ class Assessment:
                 universe = gamble.universe
             elif gamble.universe != universe:
                 raise UniverseMismatchError("assessment entries live on different universes")
-            if gamble in values:
-                if values[gamble] != value:
-                    raise ValidationError(
-                        f"conflicting values {values[gamble]} and {value} for {gamble!r}"
-                    )
-                continue
-            values[gamble] = value
-            cleaned.append((gamble, value))
-        object.__setattr__(self, "entries", tuple(cleaned))
+            key = (gamble.conditioning.mask, tuple(v.as_integer_ratio() for v in gamble.payoff.values))
+            kept = unique.setdefault(key, (gamble, value))[1]
+            if kept != value:
+                raise ValidationError(f"conflicting values {kept} and {value} for {gamble!r}")
+        object.__setattr__(self, "entries", tuple(unique.values()))
 
     @property
     def universe(self) -> Optional[Universe]:

@@ -29,9 +29,13 @@ By the alternative theorem a stall is exactly a gain over the live
 entries that is strictly negative on their union, so the assessment is
 inconsistent; when every entry is settled it is consistent. Sure loss
 and dF take one sequence of at most m rounds. W takes the sure-loss
-sequence and then, for each entry in turn, a sequence that stops once
-that entry is settled; while it is live a round first maximises the mass
-on its conditioning event.
+sequence and then, for each entry j0 in turn, a sequence that stops once
+j0 is settled. Each round is one LP maximising alpha(union) +
+alpha(B_j0): a feasible alpha scales to total 1, so the optimum charges
+B_j0 whenever any feasible alpha does. No choice of optimal alpha moves
+a stall set L, hence a witness: the alpha of the first round of another
+sequence to settle an entry of L, restricted to the union of L, would
+keep every sum of L (each c_j vanishes off B_j) and still charge that entry.
 
 ``convex`` takes one such sequence per entry j0 bet against, centering
 entries included, over the rows c_j - c_j0; row j0 is then zero. This is
@@ -229,12 +233,13 @@ def _rounds(masks, rows, n, both_ways, j0):
     A round looks for masses alpha >= 0 on the union of the live
     conditioning events, with total at most 1, under which no live entry
     loses on average: sum over B_j of alpha(w) c_j(w) >= 0, and == 0 for
-    every entry when ``both_ways``, for ``j0`` alone otherwise. It
-    maximises alpha(B_j0) while ``j0`` is live, then alpha(union). The
-    live entries whose conditioning event meets the support of alpha are
-    settled; a round that can give mass to no world stalls.
+    every entry when ``both_ways``, for ``j0`` alone otherwise. One LP
+    maximises alpha(union) + alpha(B_j0), so it charges B_j0 whenever
+    some feasible alpha does; live entries whose B_j meets its support are
+    settled, and a round that can give mass to no world stalls.
     """
     live = list(range(len(masks)))
+    weight = 0 if j0 is None else masks[j0]
     while live:
         union = 0
         for j in live:
@@ -246,17 +251,15 @@ def _rounds(masks, rows, n, both_ways, j0):
         # An all-zero row never wins Bland's ratio test: dropping it keeps every pivot.
         constraints = [(coeffs, "<=", 0) for coeffs in signed if any(coeffs)]
         constraints.append(([1] * len(worlds), "<=", 1))
-        if j0 is not None:
-            target = [(masks[j0] >> w) & 1 for w in worlds]
-            if solve_lp(target, constraints).objective > 0:
-                return None
-        result = solve_lp([1] * len(worlds), constraints)
+        result = solve_lp([1 + ((weight >> w) & 1) for w in worlds], constraints)
         if result.objective == 0:
             return live
         support = 0
         for w, mass in zip(worlds, result.solution):
             if mass:
                 support |= 1 << w
+        if support & weight:
+            return None
         live = [j for j in live if not masks[j] & support]
     return None
 

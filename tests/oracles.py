@@ -19,6 +19,10 @@ and the two must be equal.
 The library decides consistency by zero-layer rounds. ``grid_search``
 solves the gain LP of every (subfamily, entry bet against) cell instead,
 2^m - 1 subfamilies, and the two must agree on every verdict.
+``oracle_rounds`` runs a sequence of rounds with two LPs per round while
+the entry under test is live, the first asking whether its conditioning
+event can get mass at all; the library's one weighted LP per round must
+stall at the same live set.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from gnprob import (
     conjugate,
     gn_leq_events,
     inf_over,
+    solve_lp,
     sup_over,
 )
 from gnprob.extension import _require_nontrivial
@@ -210,4 +215,34 @@ def grid_search(assessment: Assessment, cls: str) -> Optional[GainSpec]:
             stakes = coherence._violating_stakes(cls, chosen, against, masks, rows)
             if stakes is not None:
                 return coherence._gain(entries, chosen, against, *stakes)
+    return None
+
+
+def oracle_rounds(masks, rows, n, both_ways, j0):
+    """``coherence._rounds`` with a separate LP for the entry under test:
+    while ``j0`` is live, a round first maximises alpha(B_j0) and ends the
+    sequence if it is positive, then maximises alpha(union)."""
+    live = list(range(len(masks)))
+    while live:
+        union = 0
+        for j in live:
+            union |= masks[j]
+        worlds = coherence._world_indices(union, n)
+        equal = live if both_ways else [] if j0 is None else [j0]
+        signed = [[-rows[j][w] for w in worlds] for j in live]
+        signed += [[rows[j][w] for w in worlds] for j in equal]
+        constraints = [(coeffs, "<=", 0) for coeffs in signed if any(coeffs)]
+        constraints.append(([1] * len(worlds), "<=", 1))
+        if j0 is not None:
+            target = [(masks[j0] >> w) & 1 for w in worlds]
+            if solve_lp(target, constraints).objective > 0:
+                return None
+        result = solve_lp([1] * len(worlds), constraints)
+        if result.objective == 0:
+            return live
+        support = 0
+        for w, mass in zip(worlds, result.solution):
+            if mass:
+                support |= 1 << w
+        live = [j for j in live if not masks[j] & support]
     return None

@@ -1,5 +1,7 @@
 """Universe, event, partition and gamble behaviour."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -63,6 +65,28 @@ class TestUniverseAndEvent:
         b = Universe(("x", "y")).event(["x"])
         with pytest.raises(UniverseMismatchError):
             a & b
+
+    def test_omega_is_built_once(self):
+        u = make_universe(3)
+        assert u.omega is u.omega
+        assert u.omega == Event(u, 0b111) and u.omega.universe is u
+
+    def test_omega_readers_are_unchanged(self):
+        u = make_universe(3)
+        for mask in range(8):
+            e = Event(u, mask)
+            assert (~e).mask == 0b111 ^ mask and (~e).universe is u
+            assert e.is_omega == (mask == 0b111)
+        assert Partition(u, (u.event(["w3"]), u.event(["w1", "w2"]))).blocks[1].mask == 0b100
+        with pytest.raises(ValidationError, match="cover the whole universe"):
+            Partition(u, (u.event(["w1"]), u.event(["w3"])))
+
+    def test_universe_survives_pickle_and_deepcopy(self):
+        u = make_universe(3)
+        for twin in (pickle.loads(pickle.dumps(u)), copy.deepcopy(u)):
+            assert twin == u and hash(twin) == hash(u) and repr(twin) == repr(u)
+            assert twin.omega is twin.omega and twin.omega.universe is twin
+            assert twin.omega == u.omega and twin.index("w2") == 1
 
     def test_equal_universes_are_interchangeable(self):
         a = make_universe(2).event(["w1"])

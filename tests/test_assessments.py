@@ -122,12 +122,29 @@ class TestAssessment:
         cg = ConditionalGamble(Gamble.indicator(u.event(["w1"])), u.omega)
         a = Assessment(((cg, Fraction(1, 2)), (cg, Fraction(1, 2))))
         assert len(a) == 1
+        # One value in two spellings, and payoffs that differ only off B.
+        other = ConditionalGamble(Gamble.indicator(u.event(["w2"])), u.omega)
+        a = Assessment(((cg, "1/2"), (other, 0), (cg, Fraction(2, 4))))
+        assert a.entries == ((cg, Fraction(1, 2)), (other, Fraction(0)))
+        b = u.event(["w1"])
+        first = ConditionalGamble(Gamble(u, [1, 5]), b)
+        second = ConditionalGamble(Gamble(u, [1, -7]), b)
+        a = Assessment(((first, "1/3"), (second, Fraction(1, 3))))
+        assert len(a) == 1 and a.entries[0][0] is first
+        # The same payoff on another conditioning event is another entry.
+        assert len(Assessment(((first, 1), (ConditionalGamble(Gamble(u, [1, 0]), u.omega), 1)))) == 2
 
     def test_conflicting_duplicates_rejected(self):
         u = make_universe(2)
         cg = ConditionalGamble(Gamble.indicator(u.event(["w1"])), u.omega)
         with pytest.raises(ValidationError):
             Assessment(((cg, Fraction(1, 2)), (cg, Fraction(1, 3))))
+        b = u.event(["w1"])
+        first = ConditionalGamble(Gamble(u, ["1/2", 5]), b)
+        second = ConditionalGamble(Gamble(u, [Fraction(2, 4), -7]), b)
+        with pytest.raises(ValidationError) as raised:
+            Assessment(((first, "1/2"), (second, Fraction(1, 3))))
+        assert str(raised.value) == "conflicting values 1/2 and 1/3 for (w1:1/2)|{w1}"
 
     def test_mixed_universes_rejected(self):
         a = ConditionalGamble(Gamble.zero(make_universe(2)), make_universe(2).omega)

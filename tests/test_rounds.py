@@ -1,13 +1,16 @@
-"""Zero-layer rounds against the subfamily grid.
+"""Zero-layer rounds against the subfamily grid and the two-LP rounds.
 
 Sure loss, dF, W and convex are decided by sequences of zero-layer
 rounds, each one small LP over world masses. ``oracles.grid_search``
 enumerates every (subfamily, entry bet against) cell instead and serves
 here as the oracle: the two must give the same verdict on every instance.
+``oracles.oracle_rounds`` spends a second LP per round on the entry under
+test; every sequence must stall at the same live set under both.
 """
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,11 +26,12 @@ from gnprob import (
     check_avoiding_sure_loss,
     coherence,
     conditioned_max,
+    conjugate,
     random_credal,
     random_layered,
 )
 from conftest import make_universe, random_conditional_event, random_conditional_gamble
-from oracles import grid_search
+from oracles import grid_search, oracle_rounds
 
 ROUND_CLASSES = ("asl", "dF", "W", "convex")
 
@@ -206,6 +210,64 @@ def test_stall_with_the_entry_under_test_live_bets_against_it():
     assert (against.gamble, against.value) == assessment.entries[1]
     assert against.stake > 0
     assert conditioned_max(verdict.witness) < 0
+
+
+def round_inputs(assessment):
+    """(class, masks, rows, n, both_ways, j0) of every sequence the round
+    classes can run: asl, dF, W for each j0, and convex for each j0 on the
+    centered rows shifted by row j0."""
+    if assessment.kind == "upper":
+        assessment = conjugate(assessment)
+    entries = list(assessment.entries)
+    masks, rows = coherence._rows(entries)
+    n = len(rows[0])
+    yield "asl", masks, rows, n, False, None
+    yield "dF", masks, rows, n, True, None
+    for j0 in range(len(entries)):
+        yield "W", masks, rows, n, False, j0
+    centered, _ = coherence._with_centering(entries)
+    masks, rows = coherence._rows(centered)
+    for j0 in range(len(centered)):
+        yield "convex", masks, [[a - b for a, b in zip(row, rows[j0])] for row in rows], n, False, j0
+
+
+def test_rounds_stall_where_the_two_lp_rounds_stall():
+    tally = Counter()
+    for seed in range(400):
+        for cls, *args in round_inputs(seeded_assessment(7000 + seed)):
+            live = coherence._rounds(*args)
+            assert live == oracle_rounds(*args), (seed, cls)
+            tally[cls, live is None] += 1
+    assert sum(count for (_, settled), count in tally.items() if not settled) >= 100, tally
+    assert all(tally[cls, settled] for cls in ROUND_CLASSES for settled in (True, False)), tally
+
+
+def test_each_round_solves_one_lp(monkeypatch):
+    # A round's constraints follow from its live set, and no two rounds of
+    # a sequence share them; two LPs on one system are two LPs in one round.
+    systems = []
+    solve = coherence.solve_lp
+
+    def recording(objective, constraints):
+        systems.append(constraints)
+        return solve(objective, constraints)
+
+    monkeypatch.setattr(coherence, "solve_lp", recording)
+    multi = 0
+    for seed in range(100):
+        for cls, *args in round_inputs(seeded_assessment(seed)):
+            systems.clear()
+            coherence._rounds(*args)
+            assert systems and all(a != b for a, b in zip(systems, systems[1:])), (seed, cls)
+            multi += cls == "W" and len(systems) > 1
+    assert multi >= 20
+    # E valued 3/4 and the larger F 1/2: W's sequence for F stalls in its
+    # first round with F live, after one LP.
+    assessment, _ = asl_monotonicity_counterexample()
+    w_for_f = [args for cls, *args in round_inputs(assessment) if cls == "W"][1]
+    systems.clear()
+    assert coherence._rounds(*w_for_f) == [0, 1]
+    assert len(systems) == 1
 
 
 @pytest.mark.parametrize("cls", ("asl", "dF", "W", "convex", "1convex"))
