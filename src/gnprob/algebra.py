@@ -18,8 +18,12 @@ gambles leave their universe out of the hash, which would otherwise
 walk every world name; equality still compares it. Events, gambles
 and conditional objects are slotted and keep their own validating
 constructors. All operations are pure functions, safe to share across
-threads. Only exact rationals are admitted as numbers; floats raise
-immediately.
+threads. Only exact rationals are admitted as numbers, and
+:func:`as_fraction` is the one door every number passes: floats and
+bools raise immediately, and so does an integer of more than
+``MAX_LITERAL_DIGITS`` digits, or a string with more digits than that or
+an exponent above it, so that a short literal such as "1e-3000000"
+cannot expand into a huge number.
 """
 
 from __future__ import annotations
@@ -35,16 +39,38 @@ RationalLike = Union[int, str, Fraction]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+MAX_LITERAL_DIGITS = 1000
+_INTEGER_LIMIT = 10**MAX_LITERAL_DIGITS
+
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce ``value`` to an exact :class:`Fraction`; floats are refused.
-    A value whose type is exactly ``Fraction`` is returned as it is."""
+    """Coerce ``value`` to an exact :class:`Fraction`.
+
+    A value whose type is exactly ``Fraction`` is returned as it is.
+    Floats and bools are refused, as are an int of more than
+    ``MAX_LITERAL_DIGITS`` digits and a string with more digits than that
+    or an exponent above it; each is refused before it is expanded."""
     if type(value) is Fraction:
         return value
     if isinstance(value, float):
         raise ValidationError(
             f"floats are not exact: {value!r}; pass an int, a 'p/q' string or a Fraction"
         )
+    if isinstance(value, bool):
+        raise ValidationError(f"{str(value).lower()} is not a rational literal")
+    if isinstance(value, int) and abs(value) >= _INTEGER_LIMIT:
+        raise ValidationError(f"integer has more than {MAX_LITERAL_DIGITS} digits")
+    if isinstance(value, str) and (
+        len(value) > MAX_LITERAL_DIGITS or "e" in value or "E" in value
+    ):
+        exponent = value.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+        if sum(map(str.isdecimal, value)) > MAX_LITERAL_DIGITS or (
+            exponent.isdecimal() and int(exponent) > MAX_LITERAL_DIGITS
+        ):
+            raise ValidationError(
+                f"rational literal with more than {MAX_LITERAL_DIGITS} digits "
+                f"or an exponent above {MAX_LITERAL_DIGITS}"
+            )
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -277,7 +303,8 @@ class Gamble:
         if isinstance(other, Gamble):
             _require_same_universe(self, other)
             return Gamble(self.universe, [a * b for a, b in zip(self.values, other.values)])
-        return Gamble(self.universe, [a * as_fraction(other) for a in self.values])
+        scalar = as_fraction(other)
+        return Gamble(self.universe, [a * scalar for a in self.values])
 
     __rmul__ = __mul__
 

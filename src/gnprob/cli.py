@@ -29,11 +29,12 @@ the answer silently, so any other key is refused, as is a layer key that
 names no world of the universe. Every refusal names its place in the
 file, such as ``assessments.book.entries[0]: unknown key 'gven'``.
 
-Rational literals in a file may have at most ``MAX_LITERAL_DIGITS``
-digits and an exponent of at most that size, so that a short literal
-such as "1e-3000000" cannot expand into a huge number; JSON true and
-false are not rationals. A universe may have at most ``MAX_WORLDS``
-worlds, and ``sample`` takes 1 to ``MAX_WORLDS`` worlds, 1 to
+Every rational in a file is read by ``algebra.as_fraction``, so a
+literal may have at most ``algebra.MAX_LITERAL_DIGITS`` digits and an
+exponent of at most that size, and JSON true and false are not
+rationals. A world-to-value object reports its first fault in document
+order, each value before its world name. A universe may have at most
+``MAX_WORLDS`` worlds, and ``sample`` takes 1 to ``MAX_WORLDS`` worlds, 1 to
 ``MAX_MEMBERS`` members and 1 to ``MAX_LAYERS`` layers.
 
 Commands: check, gn, extend, audit, bounds, sample. A command that
@@ -69,6 +70,7 @@ from .algebra import (
 )
 from .assessments import (
     Assessment,
+    CONSISTENCY_CLASSES,
     CredalSet,
     LayeredProbability,
     normalize_class,
@@ -93,8 +95,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-MAX_LITERAL_DIGITS = 1000
-_INTEGER_LIMIT = 10**MAX_LITERAL_DIGITS
 MAX_WORLDS = 1024
 MAX_MEMBERS = 256
 MAX_LAYERS = MAX_WORLDS  # a layer holds at least one world
@@ -102,28 +102,6 @@ MAX_LAYERS = MAX_WORLDS  # a layer holds at least one world
 
 def _is_names(spec) -> bool:
     return isinstance(spec, list) and all(isinstance(w, str) for w in spec)
-
-
-def _check_literal(value, where: str) -> None:
-    """Refuse a rational literal from a problem file that has more than
-    MAX_LITERAL_DIGITS digits, or an exponent above that, before it is
-    expanded into a Fraction. JSON true and false are refused too: Python
-    reads them as the integers 1 and 0."""
-    if isinstance(value, str):
-        if len(value) <= MAX_LITERAL_DIGITS and "e" not in value and "E" not in value:
-            return
-        exponent = value.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
-        if sum(map(str.isdecimal, value)) > MAX_LITERAL_DIGITS or (
-            exponent.isdecimal() and int(exponent) > MAX_LITERAL_DIGITS
-        ):
-            raise ValidationError(
-                f"{where}: rational literal with more than {MAX_LITERAL_DIGITS} digits "
-                f"or an exponent above {MAX_LITERAL_DIGITS}"
-            )
-    elif isinstance(value, bool):
-        raise ValidationError(f"{where}: {json.dumps(value)} is not a rational literal")
-    elif isinstance(value, int) and abs(value) >= _INTEGER_LIMIT:
-        raise ValidationError(f"{where}: integer has more than {MAX_LITERAL_DIGITS} digits")
 
 
 def _check_keys(spec: dict, known, noun: str, where: str) -> None:
@@ -210,20 +188,12 @@ class Problem:
             raise ValidationError(
                 f"{where}: a gamble must be a world-to-value object, a list of values or a name"
             )
-        for value in spec.values() if isinstance(spec, dict) else spec:
-            _check_literal(value, where)
         return _located(where, Gamble, self.universe, spec)
 
     def _layered(self, spec, where: str) -> LayeredProbability:
         if not isinstance(spec, list) or not all(isinstance(layer, dict) for layer in spec):
             raise ValidationError(f"{where}: must be a list of world-to-mass objects")
-        worlds = self.universe.worlds
-        known = set(worlds)
-        for layer in spec:
-            for mass in layer.values():
-                _check_literal(mass, where)
-            _check_keys(layer, known, "world", where)
-        layers = [[layer.get(w, 0) for w in worlds] for layer in spec]
+        layers = [_located(where, Gamble, self.universe, layer).values for layer in spec]
         return _located(where, LayeredProbability, self.universe, layers)
 
     def _credal(self, spec, where: str) -> CredalSet:
@@ -264,7 +234,6 @@ class Problem:
             raise ValidationError(f"{where}: entry needs an 'event' or a 'gamble'")
         if "value" not in spec:
             raise ValidationError(f"{where}: missing 'value'")
-        _check_literal(spec["value"], where)
         gamble = _located(where, ConditionalGamble, payoff, given)
         return gamble, _located(where, as_fraction, spec["value"])
 
@@ -585,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("check", cmd_check, "decide consistency of an assessment", "file", "assessment")
-    p.add_argument("--class", dest="cls", choices=("dF", "W", "convex", "1convex"))
+    p.add_argument("--class", dest="cls", choices=CONSISTENCY_CLASSES)
 
     p = command("gn", cmd_gn, "compare two conditional events or gambles", "file", "left", "right")
     p.add_argument("--gambles", action="store_true", help="operands are gambles")

@@ -49,10 +49,10 @@ class LpResult:
 
 def _integer_row(values) -> tuple[list[int], int]:
     """The values times the positive lcm of their denominators, and that
-    lcm. Ints and Fractions pass as they are; anything else goes through
-    ``as_fraction``, which refuses floats."""
+    lcm. A value whose type is exactly int or Fraction passes as it is;
+    anything else, a bool too, goes through ``as_fraction``."""
     ratios = [
-        (v if isinstance(v, (int, Fraction)) else as_fraction(v)).as_integer_ratio()
+        (v if type(v) in (int, Fraction) else as_fraction(v)).as_integer_ratio()
         for v in values
     ]
     scale = lcm(*[d for _, d in ratios])

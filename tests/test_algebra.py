@@ -3,18 +3,22 @@
 import copy
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gnprob.algebra
 from gnprob import (
+    Assessment,
     ConditionalEvent,
     ConditionalGamble,
     EmptyConditioningError,
     Event,
     Gamble,
+    LayeredProbability,
     Partition,
     UniverseMismatchError,
     Universe,
@@ -309,6 +313,58 @@ class TestGambles:
     def test_lookup_refuses_what_names_no_world(self, world):
         with pytest.raises(ValidationError):
             Gamble(make_universe(3), [4, 5, 6])[world]
+
+
+class TestLiteralPolicy:
+    """Every entry point reads its numbers through ``as_fraction``, which
+    refuses an oversized or boolean literal before expanding it."""
+
+    REFUSED = [
+        ("1e-3000000", "^rational literal with more than 1000 digits or an exponent above 1000$"),
+        ("1E+999999999", "^rational literal with more than 1000 digits or an exponent above 1000$"),
+        ("1" * 1001, "^rational literal with more than 1000 digits or an exponent above 1000$"),
+        (10**1001, "^integer has more than 1000 digits$"),
+        (True, "^true is not a rational literal$"),
+        (False, "^false is not a rational literal$"),
+    ]
+    ENTRY_POINTS = {
+        "as_fraction": lambda u, v: as_fraction(v),
+        "gamble-list": lambda u, v: Gamble(u, [v, 0]),
+        "gamble-mapping": lambda u, v: Gamble(u, {"w1": v}),
+        "constant": lambda u, v: Gamble.constant(u, v),
+        "layered": lambda u, v: LayeredProbability(u, [[v, 1]]),
+        "assessment": lambda u, v: Assessment(((ConditionalEvent(u.omega, u.omega), v),)),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("value, message", REFUSED, ids=["exp-", "exp+", "digits", "int", "true", "false"])
+    def test_refused_fast_at_every_entry_point(self, entry, value, message):
+        u = make_universe(2)
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match=message):
+            self.ENTRY_POINTS[entry](u, value)
+        assert time.perf_counter() - start < 1
+
+    def test_literals_at_the_bound_load(self):
+        u = make_universe(2)
+        x = Gamble(u, ["1e1000", "9" * 1000])
+        assert x.values == (10**1000, 10**1000 - 1)
+        assert as_fraction(10**1000 - 1) == 10**1000 - 1
+        assert as_fraction("1/" + "7" * 999) == Fraction(1, int("7" * 999))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_scalar_product_reads_the_scalar_once(self, n, monkeypatch):
+        x = Gamble(make_universe(n), range(n))
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return as_fraction(value)
+
+        monkeypatch.setattr(gnprob.algebra, "as_fraction", counting)
+        assert (x * "1/3").values == tuple(Fraction(k, 3) for k in range(n))
+        assert len(calls) <= n + 1
+        assert calls.count("1/3") == 1
 
 
 class TestConditionalObjects:

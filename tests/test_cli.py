@@ -241,6 +241,47 @@ class TestCheckCommand:
         with pytest.raises(ValidationError, match=f"^{re.escape(location)} (true|false) is not a rational literal"):
             Problem.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (
+                {"universe": ["a", "b"], "layered": {"L": [{"a": "x", "zz": "1"}]}},
+                "layered.L: not a rational number: 'x'",
+            ),
+            (
+                {"universe": ["a", "b"], "layered": {"L": [{"zz": "1", "a": True}]}},
+                "layered.L: unknown world 'zz'",
+            ),
+            (
+                {"universe": ["a", "b"], "gambles": {"X": {"a": "x", "zz": "1"}}},
+                "gambles.X: not a rational number: 'x'",
+            ),
+            (
+                {"universe": ["a", "b"], "gambles": {"X": {"zz": "1", "a": "1e-3000000"}}},
+                "gambles.X: unknown world 'zz'",
+            ),
+            (
+                {"universe": ["a", "b"], "gambles": {"X": ["x", True]}},
+                "gambles.X: not a rational number: 'x'",
+            ),
+            (
+                # every layer is read before any layer is checked as a measure
+                {"universe": ["a", "b"], "layered": {"L": [{}, {"a": "x"}]}},
+                "layered.L: not a rational number: 'x'",
+            ),
+            (
+                # an entry's conditioning is checked before its value is read
+                {"universe": ["a"], "assessments": {"x": {"entries": [{"event": ["a"], "given": [], "value": True}]}}},
+                "assessments.x.entries[0]: conditioning event must be nonempty",
+            ),
+        ],
+        ids=["layer", "layer-world-first", "gamble", "gamble-world-first", "gamble-list", "layers", "entry"],
+    )
+    def test_first_fault_of_a_two_fault_object(self, data, message):
+        with pytest.raises(ValidationError) as caught:
+            Problem.from_dict(data)
+        assert str(caught.value) == message
+
     def test_universe_cap(self):
         worlds = [f"w{i}" for i in range(cli.MAX_WORLDS + 1)]
         with pytest.raises(ValidationError, match=f"^universe: {cli.MAX_WORLDS + 1} worlds exceed"):

@@ -87,6 +87,18 @@ class TestHandInstances:
         assert result.objective == Fraction(3, 8)
         assert result.solution == (Fraction(3, 4),)
 
+    def test_literal_policy_covers_bools_and_long_strings(self):
+        with pytest.raises(ValidationError, match="^true is not a rational literal$"):
+            solve_lp([True], [([1], "<=", 1)])
+        with pytest.raises(ValidationError, match="^true is not a rational literal$"):
+            solve_lp([1], [([1], "<=", True)])
+        with pytest.raises(ValidationError, match="^false is not a rational literal$"):
+            solve_lp([1], [([False], "<=", 1)])
+        with pytest.raises(ValidationError, match="^rational literal with more than 1000 digits"):
+            solve_lp([1], [([1], "<=", "1e-3000000")])
+        with pytest.raises(ValidationError, match="^rational literal with more than 1000 digits"):
+            solve_lp(["1/" + "3" * 1001], [([1], "<=", 1)])
+
 
 class TestPinnedPivots:
     """LPs where the integer kernel's bookkeeping decides the answer."""
