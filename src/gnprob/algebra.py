@@ -19,8 +19,9 @@ walk every world name; equality still compares it. Events, gambles
 and conditional objects are slotted and keep their own validating
 constructors. All operations are pure functions, safe to share across
 threads. Only exact rationals are admitted as numbers, and
-:func:`as_fraction` is the one door every number passes: floats and
-bools raise immediately, and so does an integer of more than
+:func:`as_fraction` is the one door every number passes: floats, bools
+and every other type outside int, str and Fraction (a ``Decimal`` too)
+raise immediately, and so does an integer of more than
 ``MAX_LITERAL_DIGITS`` digits, or a string with more digits than that or
 an exponent above it, so that a short literal such as "1e-3000000"
 cannot expand into a huge number.
@@ -47,30 +48,35 @@ def as_fraction(value: RationalLike) -> Fraction:
     """Coerce ``value`` to an exact :class:`Fraction`.
 
     A value whose type is exactly ``Fraction`` is returned as it is.
-    Floats and bools are refused, as are an int of more than
-    ``MAX_LITERAL_DIGITS`` digits and a string with more digits than that
-    or an exponent above it; each is refused before it is expanded."""
+    Bools are refused, as are an int of more than ``MAX_LITERAL_DIGITS``
+    digits and a string with more digits than that or an exponent above
+    it; each is refused before it is expanded. Every type outside
+    ``RationalLike`` is refused too: a float is not exact, and a
+    ``Decimal`` such as ``Decimal("1e-300000")`` would expand its
+    exponent with no cap."""
     if type(value) is Fraction:
         return value
-    if isinstance(value, float):
+    if isinstance(value, bool):
+        raise ValidationError(f"{str(value).lower()} is not a rational literal")
+    if isinstance(value, int):
+        if abs(value) >= _INTEGER_LIMIT:
+            raise ValidationError(f"integer has more than {MAX_LITERAL_DIGITS} digits")
+    elif isinstance(value, str):
+        if len(value) > MAX_LITERAL_DIGITS or "e" in value or "E" in value:
+            exponent = value.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+            if sum(map(str.isdecimal, value)) > MAX_LITERAL_DIGITS or (
+                exponent.isdecimal() and int(exponent) > MAX_LITERAL_DIGITS
+            ):
+                raise ValidationError(
+                    f"rational literal with more than {MAX_LITERAL_DIGITS} digits "
+                    f"or an exponent above {MAX_LITERAL_DIGITS}"
+                )
+    elif isinstance(value, float):
         raise ValidationError(
             f"floats are not exact: {value!r}; pass an int, a 'p/q' string or a Fraction"
         )
-    if isinstance(value, bool):
-        raise ValidationError(f"{str(value).lower()} is not a rational literal")
-    if isinstance(value, int) and abs(value) >= _INTEGER_LIMIT:
-        raise ValidationError(f"integer has more than {MAX_LITERAL_DIGITS} digits")
-    if isinstance(value, str) and (
-        len(value) > MAX_LITERAL_DIGITS or "e" in value or "E" in value
-    ):
-        exponent = value.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
-        if sum(map(str.isdecimal, value)) > MAX_LITERAL_DIGITS or (
-            exponent.isdecimal() and int(exponent) > MAX_LITERAL_DIGITS
-        ):
-            raise ValidationError(
-                f"rational literal with more than {MAX_LITERAL_DIGITS} digits "
-                f"or an exponent above {MAX_LITERAL_DIGITS}"
-            )
+    elif not isinstance(value, Fraction):
+        raise ValidationError(f"not a rational number: {value!r}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:

@@ -37,13 +37,25 @@ a stall set L, hence a witness: the alpha of the first round of another
 sequence to settle an entry of L, restricted to the union of L, would
 keep every sum of L (each c_j vanishes off B_j) and still charge that entry.
 
+The first round of every sequence has every entry live, so its alpha has
+sum_w alpha(w) c_j(w) >= 0 for every entry j. The first-round alpha of
+each sequence that settles is kept, and the sequence for a later j0 is
+skipped when a kept alpha charges B_j0 and has sum_w alpha(w) c_j0(w) ==
+0 (W). Such an alpha is feasible for the first round of j0's sequence
+and charges B_j0, so that round's optimum charges B_j0 too: the skipped
+sequence would have settled j0 at once, without a stall, and skipping it
+moves no verdict and no witness.
+
 ``convex`` takes one such sequence per entry j0 bet against, centering
 entries included, over the rows c_j - c_j0; row j0 is then zero. This is
 exact: by LP duality the gains over a subfamily S with j0 bet against
 have no violation exactly when some probability alpha on the union U_S
 has sum_w alpha(w) (c_j(w) - c_j0(w)) >= 0 for every j in S. A round's
 alpha, restricted to U_S, keeps those sums, because each c_j vanishes
-off B_j, so W's settling argument carries over word for word.
+off B_j, so W's settling argument carries over word for word. A kept
+alpha settles j0 here when it charges B_j0 and sum_w alpha(w) c_j0(w) is
+the least of its sums over all entries, centering ones included: then it
+keeps every row shifted by c_j0 nonnegative.
 
 A stall yields the witness through one gain LP, which one function,
 :func:`_violating_stakes`, builds, solves and decodes: maximize a margin
@@ -54,8 +66,13 @@ columns c_j, their right-hand side r and that normalisation. A strictly
 positive optimum yields a witness gain, re-checked by direct evaluation
 before it is returned. Gains are positively homogeneous in the stakes,
 so the normalization loses no violations. Rounds and gain LPs share one
-integer form of the c_j, scaled by one lcm; the ``1convex`` search needs
-no LP and scans ordered pairs of entries over the same rows.
+integer form of the c_j, scaled by one lcm. A round divides each of its
+constraint rows by that row's own gcd: a positive scaling of a ``<= 0``
+row keeps every pivot and every alpha and keeps the tableau entries
+small. The gain LPs keep the one lcm, because their stake columns sit
+next to an unscaled normalisation row, where a scaling would change the
+LP. The ``1convex`` search needs no LP and scans ordered pairs of
+entries over the same rows.
 
 Entries listed more than once in a gain collapse by summing stakes,
 which leaves the gain unchanged; assessments therefore store each
@@ -66,7 +83,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
 from .algebra import ConditionalEvent, ConditionalGamble, Event, Gamble, Universe
@@ -77,7 +94,7 @@ from .simplex import solve_lp
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-MAX_ENTRIES = 16
+MAX_ENTRIES = 64
 
 
 @dataclass(frozen=True)
@@ -227,8 +244,9 @@ def _gain(entries, chosen, against, favour, sigma) -> GainSpec:
 
 
 def _rounds(masks, rows, n, both_ways, j0):
-    """One sequence of zero-layer rounds; the live entries at a stall, or
-    None once every entry (or, with ``j0``, that entry) is settled.
+    """One sequence of zero-layer rounds: (the live entries at a stall, or
+    None once every entry (or, with ``j0``, that entry) is settled; the
+    masses {world: alpha(w) > 0} of each round that charged a world).
 
     A round looks for masses alpha >= 0 on the union of the live
     conditioning events, with total at most 1, under which no live entry
@@ -236,10 +254,12 @@ def _rounds(masks, rows, n, both_ways, j0):
     every entry when ``both_ways``, for ``j0`` alone otherwise. One LP
     maximises alpha(union) + alpha(B_j0), so it charges B_j0 whenever
     some feasible alpha does; live entries whose B_j meets its support are
-    settled, and a round that can give mass to no world stalls.
+    settled, and a round that can give mass to no world stalls. Each row
+    is divided by its own gcd, which keeps every pivot and every alpha.
     """
     live = list(range(len(masks)))
     weight = 0 if j0 is None else masks[j0]
+    layers = []
     while live:
         union = 0
         for j in live:
@@ -248,39 +268,57 @@ def _rounds(masks, rows, n, both_ways, j0):
         equal = live if both_ways else [] if j0 is None else [j0]
         signed = [[-rows[j][w] for w in worlds] for j in live]
         signed += [[rows[j][w] for w in worlds] for j in equal]
-        # An all-zero row never wins Bland's ratio test: dropping it keeps every pivot.
-        constraints = [(coeffs, "<=", 0) for coeffs in signed if any(coeffs)]
+        constraints = []
+        for coeffs in signed:
+            # An all-zero row never wins Bland's ratio test: dropping it keeps every pivot.
+            g = gcd(*coeffs)
+            if g:
+                constraints.append(([c // g for c in coeffs], "<=", 0))
         constraints.append(([1] * len(worlds), "<=", 1))
         result = solve_lp([1 + ((weight >> w) & 1) for w in worlds], constraints)
         if result.objective == 0:
-            return live
-        support = 0
-        for w, mass in zip(worlds, result.solution):
-            if mass:
-                support |= 1 << w
+            return live, layers
+        alpha = {w: mass for w, mass in zip(worlds, result.solution) if mass}
+        layers.append(alpha)
+        support = sum(1 << w for w in alpha)
         if support & weight:
-            return None
+            return None, layers
         live = [j for j in live if not masks[j] & support]
-    return None
+    return None, layers
+
+
+def _charged(alpha, rows):
+    """(support mask, sum_w alpha(w) row(w) for each row) of one round's
+    masses, the sums as integers over the lcm of the masses' denominators."""
+    scale = lcm(*(mass.denominator for mass in alpha.values()))
+    weights = [(w, mass.numerator * (scale // mass.denominator)) for w, mass in alpha.items()]
+    return sum(1 << w for w in alpha), [sum(a * row[w] for w, a in weights) for row in rows]
 
 
 def _round_search(entries, cls) -> Optional[GainSpec]:
     """Sure loss and dF in one sequence of rounds; W in the sure-loss
     sequence and then one sequence per entry bet against; convex in one
     sequence per entry bet against, over the rows shifted by that entry's
-    row. A stall yields the witness: the cell LP on the stalled entries,
-    solved again on the entries it stakes and the entry bet against."""
+    row. The first-round masses of every sequence that settles are kept,
+    and a later sequence that one of them already settles is skipped. A
+    stall yields the witness: the cell LP on the stalled entries, solved
+    again on the entries it stakes and the entry bet against."""
     masks, rows = _rows(entries)
     n = len(rows[0])
     sequences = [] if cls == "convex" else [("asl" if cls == "W" else cls, None)]
     if cls in ("W", "convex"):
         sequences += [(cls, j0) for j0 in range(len(entries))]
+    stored = []  # (support, sums, the sum that settles an entry) per first-round alpha
     for stage, j0 in sequences:
+        if any(support & masks[j0] and sums[j0] == floor for support, sums, floor in stored):
+            continue
         shifted = rows
         if stage == "convex":
             shifted = [[a - b for a, b in zip(row, rows[j0])] for row in rows]
-        live = _rounds(masks, shifted, n, stage == "dF", j0)
+        live, layers = _rounds(masks, shifted, n, stage == "dF", j0)
         if live is None:
+            support, sums = _charged(layers[0], rows)
+            stored.append((support, sums, min(sums) if cls == "convex" else 0))
             continue
         stakes = _violating_stakes(stage, live, j0, masks, rows)
         if stakes is None:
@@ -291,15 +329,21 @@ def _round_search(entries, cls) -> Optional[GainSpec]:
 
 
 def _one_convex_search(entries) -> Optional[GainSpec]:
-    """Single-pair gains with unit stakes: one bet for, one bet against."""
+    """Single-pair gains with unit stakes: one bet for, one bet against.
+
+    Row i is 0 off B_i, so the pair (i, j) can lose everywhere only if
+    row i < 0 on B_i - B_j and row j > 0 on B_j - B_i; two bitmasks rule
+    out the other pairs, and the rows are compared on B_i & B_j alone."""
     masks, rows = _rows(entries)
     n = entries[0][0].universe.size
+    negative = [sum(1 << w for w in range(n) if row[w] < 0) for row in rows]
+    positive = [sum(1 << w for w in range(n) if row[w] > 0) for row in rows]
     for j in range(len(entries)):
         for i in range(len(entries)):
-            if i == j:
+            if i == j or masks[i] & ~masks[j] & ~negative[i] or masks[j] & ~masks[i] & ~positive[j]:
                 continue
             left, right = rows[i], rows[j]
-            if all(left[w] < right[w] for w in _world_indices(masks[i] | masks[j], n)):
+            if all(left[w] < right[w] for w in _world_indices(masks[i] & masks[j], n)):
                 return _gain(entries, [i], j, [_ONE], _ONE)
     return None
 

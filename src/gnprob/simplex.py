@@ -49,8 +49,11 @@ class LpResult:
 
 def _integer_row(values) -> tuple[list[int], int]:
     """The values times the positive lcm of their denominators, and that
-    lcm. A value whose type is exactly int or Fraction passes as it is;
-    anything else, a bool too, goes through ``as_fraction``."""
+    lcm. A row whose values are all exactly of type int is returned as it
+    is, with lcm 1. A value whose type is exactly int or Fraction passes as
+    it is; anything else, a bool too, goes through ``as_fraction``."""
+    if all(type(v) is int for v in values):
+        return list(values), 1
     ratios = [
         (v if type(v) in (int, Fraction) else as_fraction(v)).as_integer_ratio()
         for v in values

@@ -23,6 +23,14 @@ solves the gain LP of every (subfamily, entry bet against) cell instead,
 the entry under test is live, the first asking whether its conditioning
 event can get mass at all; the library's one weighted LP per round must
 stall at the same live set.
+
+The library keeps the first-round masses of each sequence and skips a
+later sequence that they already settle; its rounds divide each row by
+the row's gcd, and its ``1convex`` scan rules out pairs by sign masks.
+``oracle_check`` decides without any of that: ``oracle_round_search``
+runs every sequence in weighted rounds over the lcm rows, and
+``oracle_one_convex_search`` compares every ordered pair of rows on
+their whole conditioning union. Verdicts and witnesses must be equal.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from gnprob import (
     MonotonicityViolation,
     Partition,
     ValidationError,
+    Verdict,
     coherence,
     conjugate,
     gn_leq_events,
@@ -218,11 +227,15 @@ def grid_search(assessment: Assessment, cls: str) -> Optional[GainSpec]:
     return None
 
 
-def oracle_rounds(masks, rows, n, both_ways, j0):
-    """``coherence._rounds`` with a separate LP for the entry under test:
-    while ``j0`` is live, a round first maximises alpha(B_j0) and ends the
-    sequence if it is positive, then maximises alpha(union)."""
+def oracle_rounds(masks, rows, n, both_ways, j0, weighted=False):
+    """``coherence._rounds`` over the lcm rows, returning only the live set
+    at a stall, or None. By default a round spends a separate LP on the
+    entry under test: while ``j0`` is live, it first maximises alpha(B_j0)
+    and ends the sequence if that is positive, then maximises
+    alpha(union). With ``weighted``, each round is one LP maximising
+    alpha(union) + alpha(B_j0)."""
     live = list(range(len(masks)))
+    weight = 0 if j0 is None else masks[j0]
     while live:
         union = 0
         for j in live:
@@ -233,16 +246,74 @@ def oracle_rounds(masks, rows, n, both_ways, j0):
         signed += [[rows[j][w] for w in worlds] for j in equal]
         constraints = [(coeffs, "<=", 0) for coeffs in signed if any(coeffs)]
         constraints.append(([1] * len(worlds), "<=", 1))
-        if j0 is not None:
-            target = [(masks[j0] >> w) & 1 for w in worlds]
-            if solve_lp(target, constraints).objective > 0:
+        if weighted:
+            objective = [1 + ((weight >> w) & 1) for w in worlds]
+        else:
+            objective = [1] * len(worlds)
+            target = [(weight >> w) & 1 for w in worlds]
+            if j0 is not None and solve_lp(target, constraints).objective > 0:
                 return None
-        result = solve_lp([1] * len(worlds), constraints)
+        result = solve_lp(objective, constraints)
         if result.objective == 0:
             return live
         support = 0
         for w, mass in zip(worlds, result.solution):
             if mass:
                 support |= 1 << w
+        if support & weight:
+            return None
         live = [j for j in live if not masks[j] & support]
     return None
+
+
+def oracle_round_search(entries, cls) -> Optional[GainSpec]:
+    """``coherence._round_search`` with no kept masses: every sequence runs,
+    in weighted rounds over the lcm rows."""
+    masks, rows = coherence._rows(entries)
+    n = len(rows[0])
+    sequences = [] if cls == "convex" else [("asl" if cls == "W" else cls, None)]
+    if cls in ("W", "convex"):
+        sequences += [(cls, j0) for j0 in range(len(entries))]
+    for stage, j0 in sequences:
+        shifted = rows
+        if stage == "convex":
+            shifted = [[a - b for a, b in zip(row, rows[j0])] for row in rows]
+        live = oracle_rounds(masks, shifted, n, stage == "dF", j0, weighted=True)
+        if live is None:
+            continue
+        stakes = coherence._violating_stakes(stage, live, j0, masks, rows)
+        chosen = [k for k, s in zip(live, stakes[0]) if s or k == j0]
+        stakes = coherence._violating_stakes(stage, chosen, j0, masks, rows)
+        return coherence._gain(entries, chosen, j0, *stakes)
+    return None
+
+
+def oracle_one_convex_search(entries) -> Optional[GainSpec]:
+    """``coherence._one_convex_search`` comparing every ordered pair of
+    rows on the union of its two conditioning events."""
+    masks, rows = coherence._rows(entries)
+    n = entries[0][0].universe.size
+    for j in range(len(entries)):
+        for i in range(len(entries)):
+            if i == j:
+                continue
+            left, right = rows[i], rows[j]
+            if all(left[w] < right[w] for w in coherence._world_indices(masks[i] | masks[j], n)):
+                return coherence._gain(entries, [i], j, [Fraction(1)], Fraction(1))
+    return None
+
+
+def oracle_check(assessment: Assessment, cls: str) -> Verdict:
+    """``coherence.check`` (or, for "asl", ``check_avoiding_sure_loss``)
+    through ``oracle_with_centering`` and the oracle searches."""
+    if assessment.kind == "upper":
+        assessment = conjugate(assessment)
+    entries = list(assessment.entries)
+    centering = ()
+    if cls in ("convex", "1convex"):
+        entries, centering = oracle_with_centering(entries)
+    if cls == "1convex":
+        witness = oracle_one_convex_search(entries)
+    else:
+        witness = oracle_round_search(entries, cls)
+    return Verdict(witness is None, witness, centering)

@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -326,6 +327,8 @@ class TestLiteralPolicy:
         (10**1001, "^integer has more than 1000 digits$"),
         (True, "^true is not a rational literal$"),
         (False, "^false is not a rational literal$"),
+        (Decimal("1e-300000"), r"^not a rational number: Decimal\('1E-300000'\)$"),
+        (Decimal("0.5"), r"^not a rational number: Decimal\('0.5'\)$"),
     ]
     ENTRY_POINTS = {
         "as_fraction": lambda u, v: as_fraction(v),
@@ -337,7 +340,7 @@ class TestLiteralPolicy:
     }
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
-    @pytest.mark.parametrize("value, message", REFUSED, ids=["exp-", "exp+", "digits", "int", "true", "false"])
+    @pytest.mark.parametrize("value, message", REFUSED, ids=["exp-", "exp+", "digits", "int", "true", "false", "decimal-exp", "decimal"])
     def test_refused_fast_at_every_entry_point(self, entry, value, message):
         u = make_universe(2)
         start = time.perf_counter()

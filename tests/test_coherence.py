@@ -16,6 +16,7 @@ from gnprob import (
     asl_monotonicity_counterexample,
     check,
     check_avoiding_sure_loss,
+    coherence,
     conditioned_max,
     conjugate,
     evaluate_gain,
@@ -152,7 +153,7 @@ class TestCheckExamples:
         u = make_universe(5)
         entries = tuple(
             (ConditionalGamble(Gamble.constant(u, i), u.omega), Fraction(i))
-            for i in range(17)
+            for i in range(coherence.MAX_ENTRIES + 1)
         )
         with pytest.raises(EnumerationLimitError):
             check(Assessment(entries), "dF")

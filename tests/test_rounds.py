@@ -31,7 +31,8 @@ from gnprob import (
     random_layered,
 )
 from conftest import make_universe, random_conditional_event, random_conditional_gamble
-from oracles import grid_search, oracle_rounds
+import oracles
+from oracles import grid_search, oracle_check, oracle_rounds
 
 ROUND_CLASSES = ("asl", "dF", "W", "convex")
 
@@ -117,9 +118,9 @@ def test_rounds_agree_with_the_grid_property(assessment, cls):
         assert conditioned_max(verdict.witness) < 0
 
 
-def sixteen_entries(seed, precise):
-    """16 distinct conditional events on 6 worlds, valued by a layered
-    probability (precise) or a credal lower envelope."""
+def sixteen_entries(seed, precise, m=16):
+    """m (by default 16) distinct conditional events on 6 worlds, valued
+    by a layered probability (precise) or a credal lower envelope."""
     rng = random.Random(seed)
     u = make_universe(6)
     if precise:
@@ -127,7 +128,7 @@ def sixteen_entries(seed, precise):
     else:
         evaluate = random_credal(seed, u, 3, max_layers=3).lower
     gambles = []
-    while len(gambles) < coherence.MAX_ENTRIES:
+    while len(gambles) < m:
         gamble = ConditionalGamble.from_event(random_conditional_event(rng, u))
         if gamble not in gambles:
             gambles.append(gamble)
@@ -156,6 +157,17 @@ def test_sixteen_entry_w_check_takes_a_linear_number_of_lps(seed, lp_count):
     assert verdict.consistent
     assert len(lp_count) <= 2 * 16 + 2
     assert elapsed < 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sixty_four_entry_w_check_skips_most_sequences(seed, lp_count):
+    assessment = sixteen_entries(seed, precise=False, m=64)
+    start = time.perf_counter()
+    verdict = check(assessment, "W")
+    elapsed = time.perf_counter() - start
+    assert verdict.consistent
+    assert len(lp_count) <= 16
+    assert elapsed < 2
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -235,7 +247,7 @@ def test_rounds_stall_where_the_two_lp_rounds_stall():
     tally = Counter()
     for seed in range(400):
         for cls, *args in round_inputs(seeded_assessment(7000 + seed)):
-            live = coherence._rounds(*args)
+            live, _ = coherence._rounds(*args)
             assert live == oracle_rounds(*args), (seed, cls)
             tally[cls, live is None] += 1
     assert sum(count for (_, settled), count in tally.items() if not settled) >= 100, tally
@@ -266,8 +278,41 @@ def test_each_round_solves_one_lp(monkeypatch):
     assessment, _ = asl_monotonicity_counterexample()
     w_for_f = [args for cls, *args in round_inputs(assessment) if cls == "W"][1]
     systems.clear()
-    assert coherence._rounds(*w_for_f) == [0, 1]
+    live, _ = coherence._rounds(*w_for_f)
+    assert live == [0, 1]
     assert len(systems) == 1
+
+
+def test_searches_agree_with_the_oracle_searches(monkeypatch):
+    # The oracles run every sequence over lcm rows and scan every pair, so
+    # equal verdicts and witnesses show that the kept masses, the gcd rows
+    # and the sign masks move nothing; W and convex must solve fewer LPs.
+    lps = []
+    solve = coherence.solve_lp
+
+    def counting(*args, **kwargs):
+        lps.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(coherence, "solve_lp", counting)
+    monkeypatch.setattr(oracles, "solve_lp", counting)
+    totals = Counter()
+    for seed in range(1000):
+        assessment = seeded_assessment(seed)
+        for cls in ROUND_CLASSES + ("1convex",):
+            lps.clear()
+            verdict = decide(assessment, cls)
+            totals[cls, "library"] += len(lps)
+            lps.clear()
+            expected = oracle_check(assessment, cls)
+            totals[cls, "oracle"] += len(lps)
+            assert repr(verdict) == repr(expected), (seed, cls)
+            totals[cls, verdict.consistent] += 1
+    assert all(totals[cls, False] >= 100 for cls in ROUND_CLASSES + ("1convex",)), totals
+    for cls in ("W", "convex"):
+        assert totals[cls, "library"] < totals[cls, "oracle"], totals
+    for cls in ("asl", "dF"):
+        assert totals[cls, "library"] == totals[cls, "oracle"], totals
 
 
 @pytest.mark.parametrize("cls", ("asl", "dF", "W", "convex", "1convex"))

@@ -92,6 +92,8 @@ class TestHandInstances:
             solve_lp([True], [([1], "<=", 1)])
         with pytest.raises(ValidationError, match="^true is not a rational literal$"):
             solve_lp([1], [([1], "<=", True)])
+        with pytest.raises(ValidationError, match="^true is not a rational literal$"):
+            solve_lp([1, 1], [([1, True], "<=", 1)])
         with pytest.raises(ValidationError, match="^false is not a rational literal$"):
             solve_lp([1], [([False], "<=", 1)])
         with pytest.raises(ValidationError, match="^rational literal with more than 1000 digits"):
