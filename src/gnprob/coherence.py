@@ -270,7 +270,8 @@ def _rounds(masks, rows, n, both_ways, j0):
         signed += [[rows[j][w] for w in worlds] for j in equal]
         constraints = []
         for coeffs in signed:
-            # An all-zero row never wins Bland's ratio test: dropping it keeps every pivot.
+            # gcd 0 marks an all-zero row, which never wins Bland's ratio
+            # test: dropping it keeps every pivot.
             g = gcd(*coeffs)
             if g:
                 constraints.append(([c // g for c in coeffs], "<=", 0))

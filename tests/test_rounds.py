@@ -6,6 +6,9 @@ enumerates every (subfamily, entry bet against) cell instead and serves
 here as the oracle: the two must give the same verdict on every instance.
 ``oracles.oracle_rounds`` spends a second LP per round on the entry under
 test; every sequence must stall at the same live set under both.
+``oracles.oracle_check`` runs every sequence over the lcm rows, keeping
+no masses, and scans every 1convex pair; every verdict and witness must
+equal the library's, which must solve fewer LPs for W and convex.
 """
 
 import random
