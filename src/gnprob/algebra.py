@@ -25,6 +25,20 @@ raise immediately, and so does an integer of more than
 ``MAX_LITERAL_DIGITS`` digits, or a string with more digits than that or
 an exponent above it, so that a short literal such as "1e-3000000"
 cannot expand into a huge number.
+
+A string in the canonical form ``-?digits`` or ``-?digits/digits`` is
+read as ``Fraction(int(num), int(den))``, which skips the regular
+expression of ``Fraction(str)``; every other string form goes to
+``Fraction(value)``, so both readers accept the same strings. While a
+problem file loads, ``cli`` sets ``_literals`` to a table from each
+literal string read so far to its ``Fraction`` and drops it when the
+load ends, even when the load raises, so that each distinct literal of
+a file is expanded once. A literal enters the table only after it passed
+the caps. The table holds values of a pure function, so a call on another
+thread that reads or fills it during a load gets the values it would
+compute alone, and loads on several threads that replace or drop each
+other's table expand more literals but read the same values. Outside a
+load ``_literals`` is None and nothing is kept.
 """
 
 from __future__ import annotations
@@ -43,6 +57,9 @@ _ONE = Fraction(1)
 MAX_LITERAL_DIGITS = 1000
 _INTEGER_LIMIT = 10**MAX_LITERAL_DIGITS
 
+# The literal table of the problem-file load in progress, or None (see the module docstring).
+_literals: dict[str, Fraction] | None = None
+
 
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce ``value`` to an exact :class:`Fraction`.
@@ -53,9 +70,22 @@ def as_fraction(value: RationalLike) -> Fraction:
     it; each is refused before it is expanded. Every type outside
     ``RationalLike`` is refused too: a float is not exact, and a
     ``Decimal`` such as ``Decimal("1e-300000")`` would expand its
-    exponent with no cap."""
+    exponent with no cap.
+
+    A ``str`` that passed the caps and reads ``-?digits`` or
+    ``-?digits/digits`` becomes ``Fraction(int(num), int(den))``; any
+    other form goes through ``Fraction(value)``. ``str.isdecimal`` and
+    the ``\\d`` of ``Fraction``'s pattern accept the same Unicode digits,
+    so the two readers give the same value or the same refusal. During a
+    problem-file load a string is looked up in, and then added to, the
+    load's literal table ``_literals``."""
     if type(value) is Fraction:
         return value
+    table = _literals
+    if table is not None and type(value) is str:
+        known = table.get(value)
+        if known is not None:
+            return known
     if isinstance(value, bool):
         raise ValidationError(f"{str(value).lower()} is not a rational literal")
     if isinstance(value, int):
@@ -78,9 +108,18 @@ def as_fraction(value: RationalLike) -> Fraction:
     elif not isinstance(value, Fraction):
         raise ValidationError(f"not a rational number: {value!r}")
     try:
-        return Fraction(value)
+        if type(value) is not str:
+            return Fraction(value)
+        num, slash, den = value.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdecimal() and (den.isdecimal() or not slash):
+            result = Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        else:
+            result = Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ValidationError(f"not a rational number: {value!r}") from exc
+    if table is not None:
+        table[value] = result
+    return result
 
 
 @dataclass(frozen=True)
@@ -117,9 +156,13 @@ class Universe:
         raise ValidationError(f"no world {world!r} in a {self.size}-world universe")
 
     def event(self, worlds: Iterable[str]) -> Event:
+        positions = self._positions  # type: ignore[attr-defined]
         mask = 0
         for w in worlds:
-            mask |= 1 << self.index(w)
+            try:
+                mask |= 1 << positions[w]
+            except (KeyError, TypeError):  # ``index`` takes int positions and words each refusal
+                mask |= 1 << self.index(w)
         return Event(self, mask)
 
     @property
@@ -263,11 +306,16 @@ class Gamble:
 
     def __init__(self, universe: Universe, values):
         if isinstance(values, Mapping):
+            positions = universe._positions  # type: ignore[attr-defined]
             table = [_ZERO] * universe.size
             for name, v in values.items():
-                table[universe.index(name)] = as_fraction(v)
+                v = v if type(v) is Fraction else as_fraction(v)  # the value first, then the name
+                try:
+                    table[positions[name]] = v
+                except (KeyError, TypeError):
+                    table[universe.index(name)] = v
         else:
-            seq = [as_fraction(v) for v in values]
+            seq = [v if type(v) is Fraction else as_fraction(v) for v in values]
             if len(seq) != universe.size:
                 raise ValidationError(
                     f"expected {universe.size} payoff values, got {len(seq)}"
@@ -372,8 +420,11 @@ class ConditionalGamble:
         if conditioning.is_empty:
             raise EmptyConditioningError("conditioning event must be nonempty")
         mask = conditioning.mask
-        zeroed = [v if (mask >> i) & 1 else _ZERO for i, v in enumerate(payoff.values)]
-        object.__setattr__(self, "payoff", Gamble(payoff.universe, zeroed))
+        # on Ω there is nothing to zero, and a plain Gamble is kept as it is
+        if not (type(payoff) is Gamble and conditioning.is_omega):
+            zeroed = [v if (mask >> i) & 1 else _ZERO for i, v in enumerate(payoff.values)]
+            payoff = Gamble(payoff.universe, zeroed)
+        object.__setattr__(self, "payoff", payoff)
         object.__setattr__(self, "conditioning", conditioning)
 
     @classmethod

@@ -106,7 +106,8 @@ class Assessment:
         for gamble, value in self.entries:
             if not isinstance(gamble, ConditionalGamble):
                 gamble = _as_conditional_gamble(gamble)
-            value = as_fraction(value)
+            if type(value) is not Fraction:
+                value = as_fraction(value)
             if universe is None:
                 universe = gamble.universe
             elif gamble.universe != universe:
@@ -171,7 +172,7 @@ class LayeredProbability:
         supports = []
         covered = 0
         for depth, layer in enumerate(layers):
-            masses = tuple(as_fraction(v) for v in layer)
+            masses = tuple(v if type(v) is Fraction else as_fraction(v) for v in layer)
             if len(masses) != universe.size:
                 raise ValidationError(f"layer {depth}: expected {universe.size} masses")
             den = lcm(*(m.denominator for m in masses))

@@ -12,6 +12,12 @@ direct ``Fraction`` versions, world by world, which the integer kernels
 must agree with exactly. ``oracle_with_centering`` finds the centering
 entries of a convex check by building and looking up every ``0|B``.
 
+``as_fraction`` reads a canonical "p/q" or integer string with ``int`` on
+its parts and memoises strings during a problem-file load;
+``oracle_as_fraction`` is the reader before that, which expands every
+string through ``Fraction(str)``, and the two must give the same value or
+the same refusal.
+
 ``ConditionalGamble`` zeroes its payoff off B by the bits of B's mask;
 ``oracle_conditional_payoff`` multiplies by the indicator of B instead,
 and the two must be equal.
@@ -59,6 +65,7 @@ from gnprob import (
     solve_lp,
     sup_over,
 )
+from gnprob.algebra import _INTEGER_LIMIT, MAX_LITERAL_DIGITS, RationalLike
 from gnprob.extension import _require_nontrivial
 
 MAX_BLOCKS = 12
@@ -122,6 +129,45 @@ def scaled(spec: GainSpec, factor) -> GainSpec:
         tuple(GainTerm(t.stake * factor, t.gamble, t.value) for t in spec.terms),
         spec.against,
     )
+
+
+def oracle_as_fraction(value: RationalLike) -> Fraction:
+    """Coerce ``value`` to an exact :class:`Fraction`.
+
+    A value whose type is exactly ``Fraction`` is returned as it is.
+    Bools are refused, as are an int of more than ``MAX_LITERAL_DIGITS``
+    digits and a string with more digits than that or an exponent above
+    it; each is refused before it is expanded. Every type outside
+    ``RationalLike`` is refused too: a float is not exact, and a
+    ``Decimal`` such as ``Decimal("1e-300000")`` would expand its
+    exponent with no cap."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, bool):
+        raise ValidationError(f"{str(value).lower()} is not a rational literal")
+    if isinstance(value, int):
+        if abs(value) >= _INTEGER_LIMIT:
+            raise ValidationError(f"integer has more than {MAX_LITERAL_DIGITS} digits")
+    elif isinstance(value, str):
+        if len(value) > MAX_LITERAL_DIGITS or "e" in value or "E" in value:
+            exponent = value.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+            if sum(map(str.isdecimal, value)) > MAX_LITERAL_DIGITS or (
+                exponent.isdecimal() and int(exponent) > MAX_LITERAL_DIGITS
+            ):
+                raise ValidationError(
+                    f"rational literal with more than {MAX_LITERAL_DIGITS} digits "
+                    f"or an exponent above {MAX_LITERAL_DIGITS}"
+                )
+    elif isinstance(value, float):
+        raise ValidationError(
+            f"floats are not exact: {value!r}; pass an int, a 'p/q' string or a Fraction"
+        )
+    elif not isinstance(value, Fraction):
+        raise ValidationError(f"not a rational number: {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise ValidationError(f"not a rational number: {value!r}") from exc
 
 
 def _oracle_mass(layer, mask: int) -> Fraction:

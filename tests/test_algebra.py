@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import re
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -34,7 +35,7 @@ from gnprob import (
     sup_over,
 )
 from conftest import make_universe
-from oracles import iter_measurable_events
+from oracles import iter_measurable_events, oracle_as_fraction
 
 
 def u_events(u, *masks):
@@ -368,6 +369,85 @@ class TestLiteralPolicy:
         assert (x * "1/3").values == tuple(Fraction(k, 3) for k in range(n))
         assert len(calls) <= n + 1
         assert calls.count("1/3") == 1
+
+
+class TestLiteralReader:
+    """``as_fraction`` reads canonical strings with ``int`` and memoises
+    strings during a load; ``oracle_as_fraction`` is the reader before that."""
+
+    ALPHABET = "0123456789-+/.e_ \u0663"  # ARABIC-INDIC DIGIT THREE is a Unicode Nd digit
+    EDGES = ["", "-", "-0", "007", "1/0", "1/-2", "+3", " 3", "3/ 4", "1_000", "\u00b2", "\u0663/\u0664"]
+
+    @staticmethod
+    def outcome(read, value):
+        try:
+            result = read(value)
+        except Exception as exc:  # noqa: BLE001 - the refusal itself is compared
+            return type(exc), str(exc)
+        return type(result), result.numerator, result.denominator
+
+    @classmethod
+    def literals(cls, count, seed):
+        """Half random strings over the alphabet, half signed ``p`` or ``p/q``
+        forms with leading zeros, Nd digits and now and then one stray character."""
+        rng = random.Random(seed)
+        digits = "0123456789" * 3 + "\u0663"
+        out = list(cls.EDGES)
+        while len(out) < count:
+            if rng.random() < 0.5:
+                out.append("".join(rng.choices(cls.ALPHABET, k=rng.randint(0, 8))))
+                continue
+            text = rng.choice(["", "", "-", "+"]) + "".join(rng.choices(digits, k=rng.randint(1, 5)))
+            if rng.random() < 0.6:
+                text += "/" + "".join(rng.choices(digits, k=rng.randint(1, 4)))
+            if rng.random() < 0.2:
+                at = rng.randint(0, len(text))
+                text = text[:at] + rng.choice(cls.ALPHABET) + text[at:]
+            out.append(text)
+        return out
+
+    def test_seeded_strings_read_as_the_oracle_reads_them(self):
+        strings = self.literals(100_000, seed=0)
+        canonical = sum(bool(re.fullmatch(r"-?\d+(/\d+)?", s)) for s in strings)
+        refused = 0
+        for s in strings:
+            expected = self.outcome(oracle_as_fraction, s)
+            assert self.outcome(as_fraction, s) == expected, s
+            refused += expected[0] is ValidationError
+        # both readers and both outcomes are exercised
+        assert canonical > 30_000 and refused > 30_000 and len(strings) - canonical - refused > 5_000
+
+    def test_a_load_table_changes_no_outcome(self, monkeypatch):
+        monkeypatch.setattr(gnprob.algebra, "_literals", {})
+        strings = self.literals(20_000, seed=1)
+        for s in strings + strings:  # the second pass reads the accepted strings from the table
+            assert self.outcome(as_fraction, s) == self.outcome(oracle_as_fraction, s), s
+        table = gnprob.algebra._literals
+        assert table and all(type(k) is str and type(v) is Fraction for k, v in table.items())
+        assert "1/0" not in table and "" not in table
+
+    @pytest.mark.parametrize(
+        "value",
+        [0, -7, 10**1000 - 1, 10**1001, True, 0.5, Fraction(3, 4), Decimal("0.5"), None, [1]],
+        ids=repr,
+    )
+    def test_other_types_read_as_the_oracle_reads_them(self, value):
+        assert self.outcome(as_fraction, value) == self.outcome(oracle_as_fraction, value)
+
+    def test_unknown_world_refusals_survive_the_lookup_fast_paths(self):
+        u = Universe(("a", "b", "c"))
+        with pytest.raises(ValidationError, match="^unknown world 'zz'$"):
+            u.event(["a", "zz"])
+        assert u.event([0, "c"]) == Event(u, 0b101)
+        with pytest.raises(ValidationError, match="^no world True in a 3-world universe$"):
+            u.event([True])
+        with pytest.raises(ValidationError, match=r"^no world \['a'\] in a 3-world universe$"):
+            u.event([["a"]])
+        with pytest.raises(ValidationError, match="^unknown world 'zz'$"):
+            Gamble(u, {"zz": "1", "a": "x"})
+        with pytest.raises(ValidationError, match="^no world True in a 3-world universe$"):
+            Gamble(u, {True: "1"})
+        assert Gamble(u, {2: "1/2", "a": 1}).values == (1, 0, Fraction(1, 2))
 
 
 class TestConditionalObjects:

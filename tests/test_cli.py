@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import threading
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gnprob.algebra
 from gnprob import GnprobError, ValidationError, cli
 from gnprob.cli import Problem, load_problem, main
 
@@ -366,6 +368,91 @@ class TestProblemFromDictProperty:
             Problem.from_dict(data)
         except GnprobError:
             pass
+
+
+class TestLiteralTablePerLoad:
+    """Each load reads its literals through a table of its own, dropped
+    when the load ends."""
+
+    @staticmethod
+    def doc(b_value, c_value="1/3"):
+        return {
+            "universe": ["a", "b", "c"],
+            "gambles": {"X": {"a": "1/3", "b": b_value}, "Y": ["1/3", "-2", c_value]},
+            "layered": {"L": [{"a": "1/3", "b": "2/3"}, {"c": "1"}]},
+            "assessments": {"s": {"entries": [{"gamble": "X", "value": "1/3"}]}},
+        }
+
+    def test_a_load_reads_each_literal_once(self):
+        problem = Problem.from_dict(self.doc("-2"))
+        third = problem.gambles["X"].values[0]
+        assert problem.gambles["Y"].values[0] is third
+        assert problem.layered["L"].layers[0][0] is third
+        assert problem.assessments["s"].entries[0][1] is third
+        assert problem.gambles["X"].values[1] is problem.gambles["Y"].values[1]
+        assert gnprob.algebra._literals is None
+
+    def test_loads_share_no_table(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(self.doc("-2")))
+        first, second = load_problem(str(path)), load_problem(str(path))
+        assert first == second
+        assert first.gambles["X"].values[0] is not second.gambles["X"].values[0]
+        for name in ("football", "coins", "asl"):
+            assert load_problem(str(PROBLEMS / f"{name}.json")) == load_problem(str(PROBLEMS / f"{name}.json"))
+
+    @pytest.mark.parametrize(
+        "refused, message",
+        [
+            ("1/0", "gambles.X: not a rational number: '1/0'"),
+            ("1e-3000000", "gambles.X: rational literal with more than 1000 digits or an exponent above 1000"),
+            ("1" * 1001, "gambles.X: rational literal with more than 1000 digits or an exponent above 1000"),
+        ],
+        ids=["zero-denominator", "exponent", "digits"],
+    )
+    def test_a_refused_literal_stays_refused(self, refused, message):
+        for _ in range(2):
+            with pytest.raises(ValidationError) as caught:
+                Problem.from_dict(self.doc(refused))
+            assert str(caught.value) == message
+            assert gnprob.algebra._literals is None
+            # a load that accepts the neighbours of the refused literal
+            accepted = Problem.from_dict(self.doc("2/3", c_value="-2"))
+            assert accepted.gambles["X"].values == (Fraction(1, 3), Fraction(2, 3), 0)
+            assert gnprob.algebra._literals is None
+
+    def test_loads_on_several_threads_read_the_same_values(self):
+        # Threads replace and drop each other's table; every load must still
+        # equal a load made alone, and no table is left once all have ended.
+        docs = [self.doc(f"{k}/7", c_value=f"-{k}") for k in range(1, 7)]
+        alone = [Problem.from_dict(doc) for doc in docs]
+        faults = []
+
+        def load(k):
+            for _ in range(100):
+                if Problem.from_dict(docs[k]) != alone[k]:
+                    faults.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=load, args=(k,)) for k in range(len(docs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not faults and gnprob.algebra._literals is None
+
+    def test_a_load_that_raises_leaves_no_table(self):
+        # the fault comes after literals were read into the table
+        bad = {**self.doc("-2"), "assessments": {"s": {"entries": [{"gamble": "X", "valu": "1"}]}}}
+        with pytest.raises(ValidationError, match="unknown key 'valu'"):
+            Problem.from_dict(bad)
+        assert gnprob.algebra._literals is None
+        assert Problem.from_dict(self.doc("-2")).gambles["X"].values == (Fraction(1, 3), -2, 0)
 
 
 class TestGnCommand:

@@ -1,6 +1,8 @@
 """The canonical conditional payoff, the integer evaluators, the integer GN
 kernel and the centering of convex checks against their oracles."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -72,6 +74,23 @@ class TestCanonicalPayoffAgainstOracle:
                 kind = "omega" if b.is_omega else "singleton" if len(b) == 1 else "other"
                 kinds[kind] += 1
         assert min(kinds.values()) > 50
+
+
+    def test_kept_and_zeroed_payoffs_are_values(self):
+        # on B = Ω the payoff is kept as it is, elsewhere it is rebuilt zeroed;
+        # either way the conditional gamble is a plain value
+        for seed in range(100):
+            rng = random.Random(seed)
+            u = make_universe(rng.randint(1, 8))
+            x = fractional_gamble(rng, u)
+            for b in (u.omega, Event(u, nonempty_mask(rng, u.omega.mask))):
+                cg = ConditionalGamble(x, b)
+                twin = ConditionalGamble(oracle_conditional_payoff(x, b), b)
+                assert cg.payoff == oracle_conditional_payoff(x, b)
+                assert type(cg.payoff) is Gamble and cg == twin and hash(cg) == hash(twin)
+                for copied in (pickle.loads(pickle.dumps(cg)), copy.deepcopy(cg)):
+                    assert copied == cg and hash(copied) == hash(cg)
+                    assert copied.payoff.values == cg.payoff.values
 
 
 class TestEvaluatorsAgainstOracle:
