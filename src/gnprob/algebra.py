@@ -29,16 +29,16 @@ cannot expand into a huge number.
 A string in the canonical form ``-?digits`` or ``-?digits/digits`` is
 read as ``Fraction(int(num), int(den))``, which skips the regular
 expression of ``Fraction(str)``; every other string form goes to
-``Fraction(value)``, so both readers accept the same strings. While a
-problem file loads, ``cli`` sets ``_literals`` to a table from each
-literal string read so far to its ``Fraction`` and drops it when the
-load ends, even when the load raises, so that each distinct literal of
-a file is expanded once. A literal enters the table only after it passed
-the caps. The table holds values of a pure function, so a call on another
-thread that reads or fills it during a load gets the values it would
-compute alone, and loads on several threads that replace or drop each
-other's table expand more literals but read the same values. Outside a
-load ``_literals`` is None and nothing is kept.
+``Fraction(value)``, so both readers accept the same strings.
+``as_fraction`` keeps each canonical string it has read in a private
+memo, ``_memo``, and looks every exact ``str`` up there first, so a
+literal that recurs, within a problem file or across loads, is expanded
+once. The memo holds only strings that passed the caps, each of at most
+1,002 characters, and is emptied before a store once it holds
+``_MEMO_LIMIT`` of them. Threads share it without a lock: a race can
+lose a store or add one string per thread past the bound, but its values
+are those of a pure function and dict reads and writes are atomic, so a
+call on any thread gets the value it would compute alone.
 """
 
 from __future__ import annotations
@@ -57,8 +57,9 @@ _ONE = Fraction(1)
 MAX_LITERAL_DIGITS = 1000
 _INTEGER_LIMIT = 10**MAX_LITERAL_DIGITS
 
-# The literal table of the problem-file load in progress, or None (see the module docstring).
-_literals: dict[str, Fraction] | None = None
+# Canonical literal strings read so far, each to its Fraction (see the module docstring).
+_memo: dict[str, Fraction] = {}
+_MEMO_LIMIT = 4096
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -76,14 +77,13 @@ def as_fraction(value: RationalLike) -> Fraction:
     ``-?digits/digits`` becomes ``Fraction(int(num), int(den))``; any
     other form goes through ``Fraction(value)``. ``str.isdecimal`` and
     the ``\\d`` of ``Fraction``'s pattern accept the same Unicode digits,
-    so the two readers give the same value or the same refusal. During a
-    problem-file load a string is looked up in, and then added to, the
-    load's literal table ``_literals``."""
+    so the two readers give the same value or the same refusal. An exact
+    ``str`` is looked up in ``_memo`` first, and one that the int split
+    read is stored there, after the memo is emptied if it is full."""
     if type(value) is Fraction:
         return value
-    table = _literals
-    if table is not None and type(value) is str:
-        known = table.get(value)
+    if type(value) is str:
+        known = _memo.get(value)
         if known is not None:
             return known
     if isinstance(value, bool):
@@ -114,11 +114,12 @@ def as_fraction(value: RationalLike) -> Fraction:
         if (num[1:] if num[:1] == "-" else num).isdecimal() and (den.isdecimal() or not slash):
             result = Fraction(int(num), int(den)) if slash else Fraction(int(num))
         else:
-            result = Fraction(value)
+            return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ValidationError(f"not a rational number: {value!r}") from exc
-    if table is not None:
-        table[value] = result
+    if len(_memo) >= _MEMO_LIMIT:
+        _memo.clear()
+    _memo[value] = result
     return result
 
 

@@ -32,13 +32,8 @@ file, such as ``assessments.book.entries[0]: unknown key 'gven'``.
 Every rational in a file is read by ``algebra.as_fraction``, so a
 literal may have at most ``algebra.MAX_LITERAL_DIGITS`` digits and an
 exponent of at most that size, and JSON true and false are not
-rationals. ``Problem.from_dict`` gives each load its own literal table
-(``algebra._literals``): a string literal is expanded the first time the
-load reads it, after the caps, and looked up after that, a canonical
-"p/q" or integer string by ``int`` on its parts. The table is dropped
-when the load returns or raises, so no load sees another's literals. A
-world-to-value object reports its first fault in document order, each
-value before its world name. A universe may have at most
+rationals. A world-to-value object reports its first fault in document
+order, each value before its world name. A universe may have at most
 ``MAX_WORLDS`` worlds, and ``sample`` takes 1 to ``MAX_WORLDS`` worlds, 1 to
 ``MAX_MEMBERS`` members and 1 to ``MAX_LAYERS`` layers.
 
@@ -64,7 +59,6 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from . import algebra
 from .algebra import (
     ConditionalEvent,
     ConditionalGamble,
@@ -165,17 +159,13 @@ class Problem:
         if len(worlds) > MAX_WORLDS:
             raise ValidationError(f"universe: {len(worlds)} worlds exceed the cap of {MAX_WORLDS}")
         problem = cls(_located("universe", Universe, tuple(worlds)))
-        algebra._literals = {}  # this load's literal table: each distinct literal is read once
-        try:
-            for key, build in _SECTIONS:
-                specs = data.get(key, {})
-                if not isinstance(specs, dict):
-                    raise ValidationError(f"{key}: must be an object")
-                table = getattr(problem, key)
-                for name, spec in specs.items():
-                    table[name] = build(problem, spec, f"{key}.{name}")
-        finally:
-            algebra._literals = None
+        for key, build in _SECTIONS:
+            specs = data.get(key, {})
+            if not isinstance(specs, dict):
+                raise ValidationError(f"{key}: must be an object")
+            table = getattr(problem, key)
+            for name, spec in specs.items():
+                table[name] = build(problem, spec, f"{key}.{name}")
         return problem
 
     def _event(self, spec, where: str) -> Event:

@@ -369,16 +369,16 @@ def _with_centering(entries):
 
 
 def _decide(assessment: Assessment, cls: str) -> Verdict:
-    """Conjugate, cap, center, search and re-check the witness."""
+    """Cap, conjugate, center, search and re-check the witness."""
+    if len(assessment.entries) > MAX_ENTRIES:
+        raise EnumerationLimitError(
+            f"{len(assessment.entries)} entries exceed the cap of {MAX_ENTRIES}"
+        )
     if assessment.kind == "upper":
         assessment = conjugate(assessment)
     entries = list(assessment.entries)
     if not entries:
         return Verdict(True)
-    if len(entries) > MAX_ENTRIES:
-        raise EnumerationLimitError(
-            f"{len(entries)} entries exceed the cap of {MAX_ENTRIES}"
-        )
     centering: tuple[ConditionalGamble, ...] = ()
     if cls in ("convex", "1convex"):
         entries, centering = _with_centering(entries)

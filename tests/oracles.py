@@ -13,7 +13,7 @@ must agree with exactly. ``oracle_with_centering`` finds the centering
 entries of a convex check by building and looking up every ``0|B``.
 
 ``as_fraction`` reads a canonical "p/q" or integer string with ``int`` on
-its parts and memoises strings during a problem-file load;
+its parts and memoises the strings it read that way;
 ``oracle_as_fraction`` is the reader before that, which expands every
 string through ``Fraction(str)``, and the two must give the same value or
 the same refusal.

@@ -373,7 +373,7 @@ class TestLiteralPolicy:
 
 class TestLiteralReader:
     """``as_fraction`` reads canonical strings with ``int`` and memoises
-    strings during a load; ``oracle_as_fraction`` is the reader before that."""
+    them; ``oracle_as_fraction`` is the reader before that."""
 
     ALPHABET = "0123456789-+/.e_ \u0663"  # ARABIC-INDIC DIGIT THREE is a Unicode Nd digit
     EDGES = ["", "-", "-0", "007", "1/0", "1/-2", "+3", " 3", "3/ 4", "1_000", "\u00b2", "\u0663/\u0664"]
@@ -417,14 +417,41 @@ class TestLiteralReader:
         # both readers and both outcomes are exercised
         assert canonical > 30_000 and refused > 30_000 and len(strings) - canonical - refused > 5_000
 
-    def test_a_load_table_changes_no_outcome(self, monkeypatch):
-        monkeypatch.setattr(gnprob.algebra, "_literals", {})
+    def test_the_memo_changes_no_outcome(self, monkeypatch):
+        monkeypatch.setattr(gnprob.algebra, "_memo", {})
         strings = self.literals(20_000, seed=1)
-        for s in strings + strings:  # the second pass reads the accepted strings from the table
+        # more canonical strings than the memo holds, so both passes hit and miss
+        assert sum(bool(re.fullmatch(r"-?\d+(/\d+)?", s)) for s in strings) > gnprob.algebra._MEMO_LIMIT
+        for s in strings + strings:
             assert self.outcome(as_fraction, s) == self.outcome(oracle_as_fraction, s), s
-        table = gnprob.algebra._literals
-        assert table and all(type(k) is str and type(v) is Fraction for k, v in table.items())
-        assert "1/0" not in table and "" not in table
+        memo = gnprob.algebra._memo
+        assert memo and "1/0" not in memo and "" not in memo
+        for key, value in memo.items():
+            assert type(key) is str and re.fullmatch(r"-?\d+(/\d+)?", key), key
+            assert type(value) is Fraction and value == oracle_as_fraction(key), key
+
+    def test_the_memo_stays_within_its_limit(self, monkeypatch):
+        monkeypatch.setattr(gnprob.algebra, "_memo", {})
+        limit = gnprob.algebra._MEMO_LIMIT
+        sizes = []
+        for k in range(3 * limit):
+            assert as_fraction(f"{k}/7") == Fraction(k, 7)
+            sizes.append(len(gnprob.algebra._memo))
+        assert max(sizes) == limit
+        # emptied when full: the string read next is the only one kept
+        assert sizes[limit] == 1 and sizes[2 * limit] == 1 and sizes[-1] == limit
+        assert f"{3 * limit - 1}/7" in gnprob.algebra._memo
+
+    def test_non_canonical_strings_and_str_subclasses_are_not_stored(self, monkeypatch):
+        monkeypatch.setattr(gnprob.algebra, "_memo", {})
+
+        class Literal(str):
+            pass
+
+        values = [" 1/2", "5e-1", "+2", "2.0", "-3.0", "1_000", "3/ 4", "0x1", Literal("1/2"), Literal("7")]
+        for value in values + values:
+            assert self.outcome(as_fraction, value) == self.outcome(oracle_as_fraction, value), value
+        assert gnprob.algebra._memo == {}
 
     @pytest.mark.parametrize(
         "value",

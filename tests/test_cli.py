@@ -18,6 +18,8 @@ import gnprob.algebra
 from gnprob import GnprobError, ValidationError, cli
 from gnprob.cli import Problem, load_problem, main
 
+from oracles import oracle_as_fraction
+
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 FOOTBALL = str(PROBLEMS / "football.json")
 COINS = str(PROBLEMS / "coins.json")
@@ -370,9 +372,13 @@ class TestProblemFromDictProperty:
             pass
 
 
-class TestLiteralTablePerLoad:
-    """Each load reads its literals through a table of its own, dropped
-    when the load ends."""
+class TestLiteralMemo:
+    """Loads read their literals through the memo of ``as_fraction``, which
+    outlives a load and never holds a refused literal."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self, monkeypatch):
+        monkeypatch.setattr(gnprob.algebra, "_memo", {})
 
     @staticmethod
     def doc(b_value, c_value="1/3"):
@@ -383,6 +389,11 @@ class TestLiteralTablePerLoad:
             "assessments": {"s": {"entries": [{"gamble": "X", "value": "1/3"}]}},
         }
 
+    @staticmethod
+    def assert_memo_exact():
+        for key, value in gnprob.algebra._memo.items():
+            assert value == oracle_as_fraction(key), key
+
     def test_a_load_reads_each_literal_once(self):
         problem = Problem.from_dict(self.doc("-2"))
         third = problem.gambles["X"].values[0]
@@ -390,14 +401,11 @@ class TestLiteralTablePerLoad:
         assert problem.layered["L"].layers[0][0] is third
         assert problem.assessments["s"].entries[0][1] is third
         assert problem.gambles["X"].values[1] is problem.gambles["Y"].values[1]
-        assert gnprob.algebra._literals is None
 
-    def test_loads_share_no_table(self, tmp_path):
+    def test_repeated_loads_are_equal(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text(json.dumps(self.doc("-2")))
-        first, second = load_problem(str(path)), load_problem(str(path))
-        assert first == second
-        assert first.gambles["X"].values[0] is not second.gambles["X"].values[0]
+        assert load_problem(str(path)) == load_problem(str(path))
         for name in ("football", "coins", "asl"):
             assert load_problem(str(PROBLEMS / f"{name}.json")) == load_problem(str(PROBLEMS / f"{name}.json"))
 
@@ -415,15 +423,15 @@ class TestLiteralTablePerLoad:
             with pytest.raises(ValidationError) as caught:
                 Problem.from_dict(self.doc(refused))
             assert str(caught.value) == message
-            assert gnprob.algebra._literals is None
             # a load that accepts the neighbours of the refused literal
             accepted = Problem.from_dict(self.doc("2/3", c_value="-2"))
             assert accepted.gambles["X"].values == (Fraction(1, 3), Fraction(2, 3), 0)
-            assert gnprob.algebra._literals is None
+            assert refused not in gnprob.algebra._memo
+        self.assert_memo_exact()
 
     def test_loads_on_several_threads_read_the_same_values(self):
-        # Threads replace and drop each other's table; every load must still
-        # equal a load made alone, and no table is left once all have ended.
+        # Threads read and fill one memo; every load must still equal a load
+        # made alone, and the memo must hold only exact values.
         docs = [self.doc(f"{k}/7", c_value=f"-{k}") for k in range(1, 7)]
         alone = [Problem.from_dict(doc) for doc in docs]
         faults = []
@@ -444,14 +452,15 @@ class TestLiteralTablePerLoad:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert not faults and gnprob.algebra._literals is None
+        assert not faults
+        self.assert_memo_exact()
 
-    def test_a_load_that_raises_leaves_no_table(self):
-        # the fault comes after literals were read into the table
+    def test_a_load_that_raises_leaves_only_exact_values(self):
+        # the fault comes after literals were read into the memo
         bad = {**self.doc("-2"), "assessments": {"s": {"entries": [{"gamble": "X", "valu": "1"}]}}}
         with pytest.raises(ValidationError, match="unknown key 'valu'"):
             Problem.from_dict(bad)
-        assert gnprob.algebra._literals is None
+        self.assert_memo_exact()
         assert Problem.from_dict(self.doc("-2")).gambles["X"].values == (Fraction(1, 3), -2, 0)
 
 

@@ -158,6 +158,24 @@ class TestCheckExamples:
         with pytest.raises(EnumerationLimitError):
             check(Assessment(entries), "dF")
 
+    def test_upper_entry_cap_refused_before_conjugation(self, monkeypatch):
+        # Conjugation rebuilds every entry, so an over-cap upper assessment
+        # is refused as cheaply as a lower one, with the same message.
+        u = make_universe(5)
+        entries = tuple(
+            (ConditionalGamble(Gamble.constant(u, i), u.omega), Fraction(i))
+            for i in range(coherence.MAX_ENTRIES + 1)
+        )
+
+        def conjugate(assessment):
+            raise AssertionError("an over-cap assessment was conjugated")
+
+        monkeypatch.setattr(coherence, "conjugate", conjugate)
+        message = f"^{coherence.MAX_ENTRIES + 1} entries exceed the cap of {coherence.MAX_ENTRIES}$"
+        for cls in ALL_CLASSES:
+            with pytest.raises(EnumerationLimitError, match=message):
+                check(Assessment(entries, kind="upper"), cls)
+
 
 class TestSubfamilyEnumeration:
     def test_violation_hidden_by_larger_union(self):

@@ -101,3 +101,31 @@ def test_commands_neither_load_nor_write():
         and ast.unparse(call.func) in ("print", "load_problem", "json.dumps")
     ]
     assert len(commands) == 6 and not found, found
+
+
+def test_no_module_assigns_into_another():
+    # Each module owns its state: no module sets or deletes an attribute of
+    # another package module, so no decision is split across two modules
+    # through a global that one writes and the other reads.
+    modules = {path.stem for path in SRC.glob("*.py")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = {"gnprob"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in (None, "gnprob"):
+                bound.update(alias.asname or alias.name for alias in node.names if alias.name in modules)
+            elif isinstance(node, ast.Import):
+                bound.update(alias.asname or "gnprob" for alias in node.names if alias.name.split(".")[0] == "gnprob")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                root = node.value
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) in ("setattr", "delattr"):
+                root = node.args[0]
+            else:
+                continue
+            while isinstance(root, (ast.Attribute, ast.Subscript)):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
