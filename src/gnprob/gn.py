@@ -18,8 +18,9 @@ mask of B, its worlds, X's payoffs as integer numerators over a scale
 shared by all the gambles compared (the lcm of their denominators), and
 the sup and inf of X on B. One kernel compares two profiles world by
 world and stops at the first world that fails. :func:`gn_leq_gambles`
-builds two profiles per call; the monotonicity audit builds one per
-entry of an assessment, over one scale, and runs every pair on them.
+builds two profiles per call; the monotonicity audit builds one per entry
+over one scale, and runs the kernel only on the pairs valued in the wrong
+order whose sup and inf do not already rule the relation out.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional, Union
 
 from .algebra import (
@@ -124,20 +125,38 @@ class MonotonicityViolation:
 
 def monotonicity_audit(assessment: Assessment) -> list[MonotonicityViolation]:
     """All ordered entry pairs with the left GN-below the right but valued
-    strictly above it. An empty audit is necessary for convex consistency,
-    hence for the coherent and precise classes as well."""
-    violations = []
+    strictly above it, ordered by (left index, right index). An empty audit
+    is necessary for convex consistency, hence for the coherent and precise
+    classes as well.
+
+    The values are compared as integer keys: numerators over the lcm of
+    their denominators. For each left entry the right entries are walked in
+    increasing key order, up to the first key that is not strictly below
+    the left one. The GN kernel runs only on a pair whose right sup and inf
+    are both at least the left ones, which every GN-ordered pair satisfies.
+    If X|B is GN-below Y|D, let d be the world of D where Y is least: X(d)
+    <= Y(d) when d is in B, else sup_B X <= Y(d); so inf_B X <= inf_D Y.
+    Let b be the world of B where X is greatest: X(b) <= Y(b) when b is in
+    D, else X(b) <= inf_D Y; so sup_B X <= sup_D Y."""
     entries = assessment.entries
     profiles = _profiles(assessment.gambles())
-    # values compared as integer ranks: lv > rv exactly when its rank is higher
-    values = assessment.values()
-    order = {v: r for r, v in enumerate(sorted(set(values)))}
-    ranks = [order[v] for v in values]
-    for i, (left, lv) in enumerate(entries):
-        for j, (right, rv) in enumerate(entries):
-            if ranks[j] < ranks[i] and _gn_leq(profiles[i], profiles[j]):
-                violations.append(MonotonicityViolation(i, j, left, right, lv, rv))
-    return violations
+    ratios = [v.as_integer_ratio() for v in assessment.values()]
+    scale = lcm(*(d for _, d in ratios))
+    keys = [n * (scale // d) for n, d in ratios]
+    walk = sorted(range(len(keys)), key=keys.__getitem__)
+    pairs = []
+    for i, key in enumerate(keys):
+        left = profiles[i]
+        for j in walk:
+            if keys[j] >= key:
+                break
+            right = profiles[j]
+            if right[3] >= left[3] and right[4] >= left[4] and _gn_leq(left, right):
+                pairs.append((i, j))
+    return [
+        MonotonicityViolation(i, j, entries[i][0], entries[j][0], entries[i][1], entries[j][1])
+        for i, j in sorted(pairs)
+    ]
 
 
 def nested_conditioning_report(

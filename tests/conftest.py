@@ -91,6 +91,25 @@ def random_conditional_gamble(rng: random.Random, u: Universe) -> ConditionalGam
     return ConditionalGamble(random_gamble(rng, u), random_event(rng, u))
 
 
+def random_gn_above(rng: random.Random, xb: ConditionalGamble) -> ConditionalGamble:
+    """A random Y|D with X|B Goodman-Nguyen below it. On D, Y starts from X
+    on B and from the sup of X on B off B, is raised to the largest value of
+    X on B minus D, and gets a random nonnegative step; it is 0 off D."""
+    u = xb.universe
+    b = xb.conditioning
+    x = xb.payoff.values
+    d = random_event(rng, u)
+    top = max(x[i] for i in b.indices())
+    floor = max((x[i] for i in (b - d).indices()), default=None)
+    values = [Fraction(0)] * u.size
+    for i in d.indices():
+        low = x[i] if b.mask >> i & 1 else top
+        if floor is not None:
+            low = max(low, floor)
+        values[i] = low + Fraction(rng.randint(0, 4), rng.randint(1, 3))
+    return ConditionalGamble(Gamble(u, values), d)
+
+
 def random_partition(rng: random.Random, u: Universe) -> Partition:
     count = rng.randint(1, u.size)
     assignment = [rng.randrange(count) for _ in range(u.size)]

@@ -31,8 +31,10 @@ from gnprob import (
 from conftest import (
     make_universe,
     random_conditional_event,
+    random_conditional_gamble,
     random_event,
     random_gamble,
+    random_gn_above,
     random_partition,
 )
 
@@ -132,6 +134,27 @@ class TestMonotonicityAudit:
                 ce = random_conditional_event(rng, u)
                 entries.append((ConditionalGamble.from_event(ce), m.lower(ce)))
             assert monotonicity_audit(Assessment(tuple(entries), kind="lower")) == []
+
+    def test_envelope_assessments_of_gambles_clean(self):
+        # GN monotonicity of coherent lower and upper previsions, on
+        # conditional gambles with constructed GN-ordered pairs among them.
+        related = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            u = make_universe(rng.randint(4, 12))
+            credal = random_credal(seed, u, rng.randint(1, 4), max_layers=3)
+            gambles = []
+            for _ in range(rng.randint(12, 24)):
+                if gambles and rng.random() < 0.5:
+                    gambles.append(random_gn_above(rng, rng.choice(gambles)))
+                else:
+                    gambles.append(random_conditional_gamble(rng, u))
+            gambles = list(dict.fromkeys(gambles))
+            related += sum(gn_leq_gambles(a, b) for a in gambles for b in gambles if a != b)
+            for kind, evaluate in (("lower", credal.lower), ("upper", credal.upper)):
+                assessment = Assessment(tuple((g, evaluate(g)) for g in gambles), kind=kind)
+                assert monotonicity_audit(assessment) == []
+        assert related >= 5000, related
 
     def test_crafted_violation_found(self):
         u = make_universe(3)

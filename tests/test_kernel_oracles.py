@@ -1,5 +1,6 @@
 """The canonical conditional payoff, the integer evaluators, the integer GN
-kernel and the centering of convex checks against their oracles."""
+kernel, the monotonicity audit and the centering of convex checks against
+their oracles, and the bounds lemma behind the audit's prefilter."""
 
 import copy
 import pickle
@@ -18,11 +19,14 @@ from gnprob import (
     LayeredProbability,
     ValidationError,
     gn_leq_gambles,
+    inf_over,
     monotonicity_audit,
+    sup_over,
 )
+from gnprob import inequalities
 from gnprob.coherence import _with_centering
 
-from conftest import make_universe
+from conftest import make_universe, random_gn_above
 from oracles import (
     oracle_conditional_payoff,
     oracle_gn_leq_gambles,
@@ -172,27 +176,63 @@ def conditioning_pair(rng, u, relation):
                 return b, d
 
 
+def seeded_gamble_pairs():
+    """(relation of B and D, X|B, Y|D) and the reversed pair, on 400 seeds."""
+    for seed in range(400):
+        rng = random.Random(seed)
+        u = make_universe(rng.randint(3, 7))
+        for relation in RELATIONS:
+            b, d = conditioning_pair(rng, u, relation)
+            x = fractional_gamble(rng, u)
+            if rng.random() < 0.5:
+                y = fractional_gamble(rng, u)
+            else:
+                # raise Y so that the pair is often related
+                y = Gamble(u, [v + Fraction(rng.randint(0, 12), rng.randint(1, 2)) for v in x.values])
+            xb = ConditionalGamble(x, Event(u, b))
+            yd = ConditionalGamble(y, Event(u, d))
+            yield relation, xb, yd
+            yield relation, yd, xb
+
+
 class TestGnKernelAgainstOracle:
     def test_seeded_pairs_equal(self):
         seen = {(relation, verdict): 0 for relation in RELATIONS for verdict in (False, True)}
-        for seed in range(400):
-            rng = random.Random(seed)
-            u = make_universe(rng.randint(3, 7))
-            for relation in RELATIONS:
-                b, d = conditioning_pair(rng, u, relation)
-                x = fractional_gamble(rng, u)
-                if rng.random() < 0.5:
-                    y = fractional_gamble(rng, u)
-                else:
-                    # raise Y so that the pair is often related
-                    y = Gamble(u, [v + Fraction(rng.randint(0, 12), rng.randint(1, 2)) for v in x.values])
-                xb = ConditionalGamble(x, Event(u, b))
-                yd = ConditionalGamble(y, Event(u, d))
-                for left, right in ((xb, yd), (yd, xb)):
-                    verdict = gn_leq_gambles(left, right)
-                    assert verdict == oracle_gn_leq_gambles(left, right), (left, right)
-                    seen[relation, verdict] += 1
+        for relation, left, right in seeded_gamble_pairs():
+            verdict = gn_leq_gambles(left, right)
+            assert verdict == oracle_gn_leq_gambles(left, right), (left, right)
+            seen[relation, verdict] += 1
         assert min(seen.values()) >= 20, seen
+
+    def test_related_pairs_have_dominated_bounds(self):
+        # The lemma behind the audit's prefilter: X|B <=GN Y|D implies
+        # inf_B X <= inf_D Y and sup_B X <= sup_D Y.
+        related = 0
+        for _, left, right in seeded_gamble_pairs():
+            if not oracle_gn_leq_gambles(left, right):
+                continue
+            related += 1
+            x, b = left.payoff, left.conditioning
+            y, d = right.payoff, right.conditioning
+            assert inf_over(x, b) <= inf_over(y, d), (left, right)
+            assert sup_over(x, b) <= sup_over(y, d), (left, right)
+        assert related >= 200, related
+
+
+def workload_assessment(rng, size, kind):
+    """``size`` distinct conditional gambles on the universe of ``rng``'s
+    choice of 8 to 24 worlds, half of them built GN-above an earlier one,
+    valued from a pool of seven values so that ties are common."""
+    u = make_universe(rng.randint(8, 24))
+    pool = [Fraction(k, 4) for k in range(-2, 5)]
+    entries = {}
+    while len(entries) < size:
+        if entries and rng.random() < 0.5:
+            gamble = random_gn_above(rng, rng.choice(list(entries)))
+        else:
+            gamble = ConditionalGamble(fractional_gamble(rng, u), Event(u, nonempty_mask(rng, u.omega.mask)))
+        entries.setdefault(gamble, rng.choice(pool))
+    return Assessment(tuple(entries.items()), kind=kind)
 
 
 class TestAuditAgainstOracle:
@@ -216,6 +256,49 @@ class TestAuditAgainstOracle:
             assert violations == oracle_monotonicity_audit(assessment)
             total += len(violations)
         assert total > 100
+
+    def test_workload_scale_audits_equal(self):
+        total = tied = 0
+        kinds = set()
+        for seed in range(12):
+            rng = random.Random(seed)
+            kind = ("lower", "upper")[seed % 2]
+            assessment = workload_assessment(rng, rng.randint(30, 64), kind)
+            violations = monotonicity_audit(assessment)
+            assert violations == oracle_monotonicity_audit(assessment)
+            # related pairs valued alike: the order walk must stop before them
+            tied += sum(
+                lv == rv and oracle_gn_leq_gambles(left, right)
+                for i, (left, lv) in enumerate(assessment.entries)
+                for j, (right, rv) in enumerate(assessment.entries)
+                if i != j
+            )
+            total += len(violations)
+            kinds.add(kind)
+        assert kinds == {"lower", "upper"}
+        assert tied > 100, tied
+        assert total > 100, total
+
+    def test_kernel_runs_only_on_lower_valued_pairs_with_dominated_bounds(self, monkeypatch):
+        calls = 0
+        kernel = inequalities._gn_leq
+
+        def counting(left, right):
+            nonlocal calls
+            calls += 1
+            return kernel(left, right)
+
+        assessment = workload_assessment(random.Random(2024), 50, "lower")
+        bounds = [(inf_over(g.payoff, g.conditioning), sup_over(g.payoff, g.conditioning))
+                  for g in assessment.gambles()]
+        values = assessment.values()
+        lower_valued = [(i, j) for i in range(50) for j in range(50) if values[j] < values[i]]
+        dominated = [(i, j) for i, j in lower_valued
+                     if bounds[j][0] >= bounds[i][0] and bounds[j][1] >= bounds[i][1]]
+        monkeypatch.setattr(inequalities, "_gn_leq", counting)
+        monotonicity_audit(assessment)
+        assert calls == len(dominated)
+        assert calls < len(lower_valued)
 
 
 class TestCenteringAgainstOracle:
