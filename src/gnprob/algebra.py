@@ -26,19 +26,16 @@ raise immediately, and so does an integer of more than
 an exponent above it, so that a short literal such as "1e-3000000"
 cannot expand into a huge number.
 
-A string in the canonical form ``-?digits`` or ``-?digits/digits`` is
-read as ``Fraction(int(num), int(den))``, which skips the regular
-expression of ``Fraction(str)``; every other string form goes to
-``Fraction(value)``, so both readers accept the same strings.
-``as_fraction`` keeps each canonical string it has read in a private
-memo, ``_memo``, and looks every exact ``str`` up there first, so a
-literal that recurs, within a problem file or across loads, is expanded
-once. The memo holds only strings that passed the caps, each of at most
-1,002 characters, and is emptied before a store once it holds
-``_MEMO_LIMIT`` of them. Threads share it without a lock: a race can
-lose a store or add one string per thread past the bound, but its values
-are those of a pure function and dict reads and writes are atomic, so a
-call on any thread gets the value it would compute alone.
+Every string that passes the caps is read by ``Fraction(value)``.
+``as_fraction`` keeps each exact ``str`` of at most
+``MAX_LITERAL_DIGITS`` characters that it has read in a private memo,
+``_memo``, and looks every exact ``str`` up there first, so a literal
+that recurs, within a problem file or across loads, is expanded once.
+The memo never holds a refused string, and is emptied before a store
+once it holds ``_MEMO_LIMIT`` strings. Threads share it without a lock:
+a race can lose a store or add one string per thread past the bound,
+but its values are those of a pure function and dict reads and writes
+are atomic, so a call on any thread gets the value it would compute alone.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ _ONE = Fraction(1)
 MAX_LITERAL_DIGITS = 1000
 _INTEGER_LIMIT = 10**MAX_LITERAL_DIGITS
 
-# Canonical literal strings read so far, each to its Fraction (see the module docstring).
+# Literal strings read so far, each to its Fraction (see the module docstring).
 _memo: dict[str, Fraction] = {}
 _MEMO_LIMIT = 4096
 
@@ -73,13 +70,10 @@ def as_fraction(value: RationalLike) -> Fraction:
     ``Decimal`` such as ``Decimal("1e-300000")`` would expand its
     exponent with no cap.
 
-    A ``str`` that passed the caps and reads ``-?digits`` or
-    ``-?digits/digits`` becomes ``Fraction(int(num), int(den))``; any
-    other form goes through ``Fraction(value)``. ``str.isdecimal`` and
-    the ``\\d`` of ``Fraction``'s pattern accept the same Unicode digits,
-    so the two readers give the same value or the same refusal. An exact
-    ``str`` is looked up in ``_memo`` first, and one that the int split
-    read is stored there, after the memo is emptied if it is full."""
+    Everything else that passes goes through ``Fraction(value)``. An
+    exact ``str`` is looked up in ``_memo`` first, and one of at most
+    ``MAX_LITERAL_DIGITS`` characters that was read is stored there,
+    after the memo is emptied if it is full."""
     if type(value) is Fraction:
         return value
     if type(value) is str:
@@ -108,18 +102,13 @@ def as_fraction(value: RationalLike) -> Fraction:
     elif not isinstance(value, Fraction):
         raise ValidationError(f"not a rational number: {value!r}")
     try:
-        if type(value) is not str:
-            return Fraction(value)
-        num, slash, den = value.partition("/")
-        if (num[1:] if num[:1] == "-" else num).isdecimal() and (den.isdecimal() or not slash):
-            result = Fraction(int(num), int(den)) if slash else Fraction(int(num))
-        else:
-            return Fraction(value)
+        result = Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ValidationError(f"not a rational number: {value!r}") from exc
-    if len(_memo) >= _MEMO_LIMIT:
-        _memo.clear()
-    _memo[value] = result
+    if type(value) is str and len(value) <= MAX_LITERAL_DIGITS:
+        if len(_memo) >= _MEMO_LIMIT:
+            _memo.clear()
+        _memo[value] = result
     return result
 
 
@@ -130,6 +119,8 @@ class Universe:
     worlds: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.worlds, str):
+            raise ValidationError(f"worlds is a sequence of names, not a string: {self.worlds!r}")
         worlds = tuple(self.worlds)
         object.__setattr__(self, "worlds", worlds)
         if not worlds:

@@ -87,6 +87,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .algebra import ConditionalEvent, ConditionalGamble, Event, Gamble, Universe
+from .algebra import _require_same_universe, as_fraction
 from .assessments import Assessment, normalize_class
 from .errors import EnumerationLimitError, ValidationError
 from .simplex import solve_lp
@@ -104,6 +105,10 @@ class GainTerm:
     stake: Fraction
     gamble: ConditionalGamble
     value: Fraction
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "stake", as_fraction(self.stake))
+        object.__setattr__(self, "value", as_fraction(self.value))
 
 
 @dataclass(frozen=True)
@@ -123,6 +128,8 @@ class GainSpec:
             raise ValidationError("a gain needs at least one term")
         if self.against is not None and not 0 <= self.against < len(self.terms):
             raise ValidationError("against index out of range")
+        for term in self.terms[1:]:
+            _require_same_universe(self.terms[0].gamble, term.gamble)
 
     @property
     def universe(self):

@@ -12,11 +12,10 @@ direct ``Fraction`` versions, world by world, which the integer kernels
 must agree with exactly. ``oracle_with_centering`` finds the centering
 entries of a convex check by building and looking up every ``0|B``.
 
-``as_fraction`` reads a canonical "p/q" or integer string with ``int`` on
-its parts and memoises the strings it read that way;
-``oracle_as_fraction`` is the reader before that, which expands every
-string through ``Fraction(str)``, and the two must give the same value or
-the same refusal.
+``as_fraction`` memoises the strings it has read; ``oracle_as_fraction``
+is the same reader without the memo, which expands every string through
+``Fraction(str)``, and the two must give the same value or the same
+refusal.
 
 ``ConditionalGamble`` zeroes its payoff off B by the bits of B's mask;
 ``oracle_conditional_payoff`` multiplies by the indicator of B instead,

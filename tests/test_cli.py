@@ -402,6 +402,11 @@ class TestLiteralMemo:
         assert problem.assessments["s"].entries[0][1] is third
         assert problem.gambles["X"].values[1] is problem.gambles["Y"].values[1]
 
+    def test_a_non_canonical_literal_is_read_once(self):
+        problem = Problem.from_dict(self.doc(" 1/3", c_value=" 1/3"))
+        third = problem.gambles["X"].values[1]
+        assert third == Fraction(1, 3) and problem.gambles["Y"].values[2] is third
+
     def test_repeated_loads_are_equal(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text(json.dumps(self.doc("-2")))

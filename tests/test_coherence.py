@@ -12,6 +12,7 @@ from gnprob import (
     Gamble,
     GainSpec,
     GainTerm,
+    UniverseMismatchError,
     ValidationError,
     asl_monotonicity_counterexample,
     check,
@@ -87,6 +88,37 @@ class TestEvaluateGain:
         assert evaluate_gain(spec, 2) == Fraction(-1, 2)
         with pytest.raises(ValidationError):
             evaluate_gain(spec, world)
+
+
+class TestGainValidation:
+    @pytest.mark.parametrize(
+        "stake, value",
+        [(0.5, Fraction(1, 4)), (Fraction(1, 2), 0.25), (True, Fraction(1, 4)), (Fraction(1, 2), False)],
+        ids=repr,
+    )
+    def test_float_or_bool_stake_or_value_refused(self, stake, value):
+        u = make_universe(2)
+        cg = ConditionalGamble(Gamble.indicator(u.event(["w1"])), u.omega)
+        with pytest.raises(ValidationError):
+            GainTerm(stake, cg, value)
+
+    def test_int_stake_becomes_a_fraction(self):
+        u = make_universe(2)
+        cg = ConditionalGamble(Gamble.indicator(u.event(["w1"])), u.omega)
+        term = GainTerm(2, cg, "1/4")
+        assert type(term.stake) is Fraction and term.stake == 2
+        assert type(term.value) is Fraction and term.value == Fraction(1, 4)
+        assert evaluate_gain(GainSpec((term,)), "w1") == Fraction(3, 2)
+
+    @pytest.mark.parametrize("order", [(3, 2), (2, 3)], ids=["3-then-2", "2-then-3"])
+    def test_terms_on_different_universes_refused(self, order):
+        terms = []
+        for n in order:
+            u = make_universe(n)
+            cg = ConditionalGamble(Gamble.indicator(u.event(["w1"])), u.omega)
+            terms.append(GainTerm(Fraction(1), cg, Fraction(1, 2)))
+        with pytest.raises(UniverseMismatchError):
+            GainSpec(tuple(terms))
 
 
 class TestCheckExamples:
