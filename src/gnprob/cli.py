@@ -73,7 +73,6 @@ from .assessments import (
     CONSISTENCY_CLASSES,
     CredalSet,
     LayeredProbability,
-    normalize_class,
     random_credal,
 )
 from .coherence import GainSpec, check, conditioned_max
@@ -374,7 +373,7 @@ def cmd_check(problem: Problem, args):
     verdict = check(assessment, cls)
     record = {
         "assessment": args.assessment,
-        "class": normalize_class(cls),
+        "class": cls,
         "consistent": verdict.consistent,
         "witness": None if verdict.witness is None else _witness_dict(verdict.witness),
         "centering_added": [repr(g) for g in verdict.centering],

@@ -124,6 +124,7 @@ class GainSpec:
     against: Optional[int] = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise ValidationError("a gain needs at least one term")
         if self.against is not None and not 0 <= self.against < len(self.terms):
@@ -169,6 +170,7 @@ class Verdict:
     centering: tuple[ConditionalGamble, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "centering", tuple(self.centering))
         if self.consistent and self.witness is not None:
             raise ValidationError("a consistent verdict carries no witness")
         if not self.consistent and self.witness is None:

@@ -11,7 +11,9 @@ Gaussian elimination" (Math. Comp. 22, 1968). Each constraint row is
 scaled to integers, and every entry is held as an integer numerator over
 one positive common denominator D. A pivot is integer multiplies plus one
 exact division by the previous D, with no gcd per entry; ratios and reduced
-costs are compared by their integer numerators. Optima are therefore
+costs are compared by their integer numerators. The objective row is the
+last row of the tableau and is updated by the same pivots. Every pivot is
+on a positive entry, so D stays positive. Optima are therefore
 decided exactly and the strict sign tests downstream need no tolerances.
 Scaling a row rescales only its slack and artificial variables, never a
 structural one, and the phase-1 costs are reweighted to match, so the
@@ -63,13 +65,16 @@ def _integer_row(values) -> tuple[list[int], int]:
 
 
 class _Tableau:
-    """Row r holds D times the row of the normalized (Fraction) tableau,
-    so every basic column reads D in its own row and 0 elsewhere, and the
-    basic variable of row r has the value rows[r][-1] / D."""
+    """Row r < len(basis) holds D times row r of the normalized (Fraction)
+    tableau, so every basic column reads D in its own row and 0 elsewhere,
+    and the basic variable of row r has the value rows[r][-1] / D. The
+    last row is the objective row: D times the reduced costs, with -D times
+    the objective value in its last entry. Every pivot is on a positive
+    entry, so D stays positive."""
 
     def __init__(self, rows, basis, ncols):
-        self.rows = rows            # list of int lists, last entry is the rhs
-        self.basis = basis          # basic variable of each row
+        self.rows = rows + [[0] * (ncols + 1)]  # int lists, last entry is the rhs
+        self.basis = basis          # basic variable of each constraint row
         self.ncols = ncols          # number of variable columns
         self.d = 1                  # common denominator, kept positive
 
@@ -85,24 +90,22 @@ class _Tableau:
                     rows[r] = [(a * p - factor * b) // d for a, b in zip(line, prow)]
                 elif p != d:
                     rows[r] = [a * p // d for a in line]
-        if p < 0:
-            self.rows = [[-a for a in line] for line in rows]
-            p = -p
         self.d = p
         self.basis[row] = col
 
-    def run(self, cost: list[int], banned: set[int]) -> str:
+    def run(self, cost: list[int], banned: Sequence[int]) -> str:
         """Maximize cost'x from the current basis. Returns "optimal" or
         "unbounded". ``cost`` has one integer entry per column and is
-        first reduced against the current basis."""
-        # z[j] = D * (cost[j] - cost_B . column_j), so only its sign is read.
-        d = self.d
-        z = [d * c for c in cost] + [0]
-        for line, b in zip(self.rows, self.basis):
+        first reduced against the current basis into the objective row."""
+        rows = self.rows
+        z = [self.d * c for c in cost] + [0]
+        for line, b in zip(rows, self.basis):
             cb = cost[b]
             if cb:
                 z = [a - cb * v for a, v in zip(z, line)]
+        rows[-1] = z
         while True:
+            z = rows[-1]
             enter = -1
             for j in range(self.ncols):
                 if z[j] > 0 and j not in banned:
@@ -111,24 +114,20 @@ class _Tableau:
             if enter < 0:
                 return "optimal"
             leave = -1
-            for r, line in enumerate(self.rows):
+            for r, b in enumerate(self.basis):
+                line = rows[r]
                 a = line[enter]
                 # ratio line[-1] / a against the best num / den so far,
                 # cross-multiplied: both denominators are positive
                 if a > 0 and (
                     leave < 0
                     or line[-1] * den < num * a
-                    or (line[-1] * den == num * a and self.basis[r] < self.basis[leave])
+                    or (line[-1] * den == num * a and b < self.basis[leave])
                 ):
                     leave, num, den = r, line[-1], a
             if leave < 0:
                 return "unbounded"
-            d = self.d
-            prow = self.rows[leave]
-            p = prow[enter]
             self.pivot(leave, enter)
-            factor = z[enter]
-            z = [(a * p - factor * b) // d for a, b in zip(z, prow)]
 
 
 def solve_lp(
@@ -141,8 +140,6 @@ def solve_lp(
     n = len(cost)
 
     rows = []
-    scales = []
-    rels = []
     for coeffs, rel, b in constraints:
         row, scale = _integer_row([*coeffs, b])
         if len(row) != n + 1:
@@ -152,77 +149,59 @@ def solve_lp(
         if row[-1] < 0:
             row = [-v for v in row]
             rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        rows.append(row)
-        scales.append(scale)
-        rels.append(rel)
-    m = len(rows)
+        rows.append((row, rel, scale))
 
     # Column layout: structural | slack/surplus | artificial.
-    ncols = n
-    slack_col = {}
-    for i, rel in enumerate(rels):
-        if rel in ("<=", ">="):
-            slack_col[i] = ncols
-            ncols += 1
-    art_col = {}
-    for i, rel in enumerate(rels):
-        if rel in (">=", "=="):
-            art_col[i] = ncols
-            ncols += 1
-
-    table = []
-    basis = []
-    for i in range(m):
-        line = rows[i][:n] + [0] * (ncols - n) + rows[i][n:]
-        if rels[i] == "<=":
-            line[slack_col[i]] = 1
-            basis.append(slack_col[i])
-        elif rels[i] == ">=":
-            line[slack_col[i]] = -1
-            line[art_col[i]] = 1
-            basis.append(art_col[i])
+    slack = n
+    art = first_art = n + sum(rel != "==" for _, rel, _ in rows)
+    ncols = first_art + sum(rel != "<=" for _, rel, _ in rows)
+    # Row i was scaled by the lcm s_i of its denominators, which scales
+    # its artificial by s_i too; the phase-1 cost -1 of the unscaled
+    # artificial becomes -1/s_i, here times the positive lcm of the s_i.
+    top = lcm(*(scale for _, rel, scale in rows if rel != "<="))
+    phase1 = [0] * ncols
+    table, basis = [], []
+    for row, rel, scale in rows:
+        line = row[:n] + [0] * (ncols - n) + row[n:]
+        if rel != "==":
+            line[slack] = 1 if rel == "<=" else -1
+            slack += 1
+        if rel == "<=":
+            basis.append(slack - 1)
         else:
-            line[art_col[i]] = 1
-            basis.append(art_col[i])
+            line[art] = 1
+            phase1[art] = -(top // scale)
+            basis.append(art)
+            art += 1
         table.append(line)
 
     tab = _Tableau(table, basis, ncols)
-    artificials = set(art_col.values())
+    artificials = range(first_art, ncols)
 
     if artificials:
-        # Row i was scaled by the lcm s_i of its denominators, which scales
-        # its artificial by s_i too; the phase-1 cost -1 of the unscaled
-        # artificial becomes -1/s_i, here times the positive lcm of the s_i.
-        top = lcm(*(scales[i] for i in art_col))
-        phase1 = [0] * ncols
-        for i, j in art_col.items():
-            phase1[j] = -(top // scales[i])
-        status = tab.run(phase1, banned=set())
-        if status != "optimal":
+        if tab.run(phase1, banned=()) != "optimal":
             raise AssertionError("phase 1 is always bounded")
-        if any(tab.rows[r][-1] > 0 for r in range(m) if tab.basis[r] in artificials):
+        if any(line[-1] > 0 for line, b in zip(tab.rows, tab.basis) if b in artificials):
             return LpResult("infeasible", None, None)
         # Pivot leftover artificials out of the basis where possible;
         # a row with no eligible pivot is redundant and can be ignored
-        # because its rhs is zero.
-        for r in range(m):
-            if tab.basis[r] in artificials:
-                for j in range(ncols):
-                    if j not in artificials and tab.rows[r][j] != 0:
+        # because its rhs is zero. That zero rhs also lets a row be
+        # negated first, so that its pivot entry is positive.
+        for r, b in enumerate(tab.basis):
+            if b in artificials:
+                for j in range(first_art):
+                    if tab.rows[r][j]:
+                        if tab.rows[r][j] < 0:
+                            tab.rows[r] = [-a for a in tab.rows[r]]
                         tab.pivot(r, j)
                         break
 
-    status = tab.run(cost + [0] * (ncols - n), banned=artificials)
-    if status == "unbounded":
+    if tab.run(cost + [0] * (ncols - n), banned=artificials) == "unbounded":
         return LpResult("unbounded", None, None)
 
     solution = [_ZERO] * n
-    total = 0
     for line, b in zip(tab.rows, tab.basis):
         if b < n:
             solution[b] = Fraction(line[-1], tab.d)
-            total += cost[b] * line[-1]
-    value = Fraction(total, cost_scale * tab.d)
-    if not maximize:
-        value = -value
-    return LpResult("optimal", value, tuple(solution))
+    value = Fraction(-tab.rows[-1][-1], cost_scale * tab.d)
+    return LpResult("optimal", value if maximize else -value, tuple(solution))

@@ -14,6 +14,7 @@ from gnprob import (
     GainTerm,
     UniverseMismatchError,
     ValidationError,
+    Verdict,
     asl_monotonicity_counterexample,
     check,
     check_avoiding_sure_loss,
@@ -119,6 +120,16 @@ class TestGainValidation:
             terms.append(GainTerm(Fraction(1), cg, Fraction(1, 2)))
         with pytest.raises(UniverseMismatchError):
             GainSpec(tuple(terms))
+
+    def test_list_fields_become_tuples(self):
+        u = make_universe(2)
+        cg = ConditionalGamble(Gamble.indicator(u.event(["w1"])), u.omega)
+        term = GainTerm(Fraction(1), cg, Fraction(1, 2))
+        spec = GainSpec([term])
+        assert spec == GainSpec((term,)) and hash(spec) == hash(GainSpec((term,)))
+        verdict = Verdict(True, None, [cg])
+        assert verdict == Verdict(True, None, (cg,))
+        assert hash(verdict) == hash(Verdict(True, None, (cg,)))
 
 
 class TestCheckExamples:

@@ -20,7 +20,25 @@ from gnprob import (
 from gnprob.simplex import solve_lp
 from conftest import make_universe, random_conditional_gamble
 from oracles import grid_search
+import simplex_oracle
 from simplex_oracle import oracle_solve_lp
+
+
+def record_pivots(monkeypatch, tableau):
+    """Log the (row, col, entry) of every pivot of the tableau class."""
+    log = []
+    pivot = tableau.pivot
+
+    def recording_pivot(tab, row, col):
+        log.append((row, col, tab.rows[row][col]))
+        pivot(tab, row, col)
+
+    monkeypatch.setattr(tableau, "pivot", recording_pivot)
+    return log
+
+
+def positions(log):
+    return [(row, col) for row, col, _ in log]
 
 
 class TestHandInstances:
@@ -126,13 +144,16 @@ class TestPinnedPivots:
     def test_redundant_equality_pivots_out_on_negative_entry(self, monkeypatch):
         # The second row is the first one times 3 (as a >= row). Phase 1
         # leaves its artificial basic at zero, and pivoting it out uses the
-        # surplus column, whose entry is negative there; the common
-        # denominator must come back positive.
-        pivots = []
+        # surplus column, whose entry is negative there. The Fraction
+        # oracle pivots on that negative entry; the kernel negates the
+        # row first (its rhs is 0), so it pivots on a positive entry at
+        # the same position and the common denominator stays positive.
+        oracle = record_pivots(monkeypatch, simplex_oracle._Tableau)
+        kernel = []
         pivot = gnprob.simplex._Tableau.pivot
 
         def recording_pivot(tab, row, col):
-            pivots.append(tab.rows[row][col])
+            kernel.append((row, col, tab.rows[row][col]))
             pivot(tab, row, col)
             assert tab.d > 0
 
@@ -142,8 +163,10 @@ class TestPinnedPivots:
             ([Fraction(3, 2), 1], ">=", Fraction(1, 2)),
         ]
         result = solve_lp([0, 1], constraints)
-        assert any(p < 0 for p in pivots)
         assert result == oracle_solve_lp([0, 1], constraints)
+        assert all(p > 0 for _, _, p in kernel)
+        assert positions(kernel) == positions(oracle)
+        assert any(p < 0 for _, _, p in oracle)
         assert result.objective == Fraction(1, 2)
         assert result.solution == (Fraction(0), Fraction(1, 2))
 
@@ -262,25 +285,41 @@ class TestAgainstFractionOracle:
     Fraction simplex, so whole results agree: status, objective and the
     optimal vertex itself, not only the optimum."""
 
-    def test_random_lps(self):
+    def test_random_lps(self, monkeypatch):
+        kernel = record_pivots(monkeypatch, gnprob.simplex._Tableau)
+        oracle = record_pivots(monkeypatch, simplex_oracle._Tableau)
         rng = random.Random(2024)
         statuses = {}
+        pivots = 0
         for _ in range(1500):
             objective, constraints, maximize = random_fractional_lp(rng)
+            kernel.clear()
+            oracle.clear()
             result = solve_lp(objective, constraints, maximize=maximize)
             assert result == oracle_solve_lp(objective, constraints, maximize=maximize), (
                 objective, constraints, maximize,
             )
+            assert positions(kernel) == positions(oracle), (objective, constraints, maximize)
+            pivots += len(kernel)
             statuses[result.status] = statuses.get(result.status, 0) + 1
         assert set(statuses) == {"optimal", "unbounded", "infeasible"}
         assert min(statuses.values()) > 50
+        assert pivots > 2000
 
     def test_coherence_lps(self, monkeypatch):
+        kernel = record_pivots(monkeypatch, gnprob.simplex._Tableau)
+        oracle = record_pivots(monkeypatch, simplex_oracle._Tableau)
         solved = []
+        pivots = 0
 
         def compared(objective, constraints, **kwargs):
+            nonlocal pivots
+            kernel.clear()
+            oracle.clear()
             result = solve_lp(objective, constraints, **kwargs)
             assert result == oracle_solve_lp(objective, constraints, **kwargs)
+            assert positions(kernel) == positions(oracle)
+            pivots += len(kernel)
             solved.append(result.objective > 0)
             return result
 
@@ -306,3 +345,4 @@ class TestAgainstFractionOracle:
                 grid_search(assessment, "convex")
         assert len(solved) > 1000
         assert any(solved) and not all(solved)
+        assert pivots > len(solved)
