@@ -100,7 +100,15 @@ MAX_LAYERS = MAX_WORLDS  # a layer holds at least one world
 
 
 def _is_names(spec) -> bool:
-    return isinstance(spec, list) and all(isinstance(w, str) for w in spec)
+    """Whether ``spec`` is a list of strings: ``str.join`` walks it at C
+    level and refuses any item that is not a string."""
+    if not isinstance(spec, list):
+        return False
+    try:
+        "".join(spec)
+    except TypeError:
+        return False
+    return True
 
 
 def _check_keys(spec: dict, known, noun: str, where: str) -> None:

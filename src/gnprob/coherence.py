@@ -28,14 +28,21 @@ on to the next round, and a round that can give mass to no world stalls.
 By the alternative theorem a stall is exactly a gain over the live
 entries that is strictly negative on their union, so the assessment is
 inconsistent; when every entry is settled it is consistent. Sure loss
-and dF take one sequence of at most m rounds. W takes the sure-loss
-sequence and then, for each entry j0 in turn, a sequence that stops once
-j0 is settled. Each round is one LP maximising alpha(union) +
-alpha(B_j0): a feasible alpha scales to total 1, so the optimum charges
-B_j0 whenever any feasible alpha does. No choice of optimal alpha moves
-a stall set L, hence a witness: the alpha of the first round of another
-sequence to settle an entry of L, restricted to the union of L, would
-keep every sum of L (each c_j vanishes off B_j) and still charge that entry.
+and dF take one sequence of at most m rounds. W takes, for each entry j0
+in turn, a sequence that stops once j0 is settled. Each round is one LP
+maximising alpha(union) + alpha(B_j0): a feasible alpha scales to total
+1, so the optimum charges B_j0 whenever any feasible alpha does. No
+choice of optimal alpha moves a stall set L, hence a witness: the alpha
+of the first round of another sequence to settle an entry of L,
+restricted to the union of L, would keep every sum of L (each c_j
+vanishes off B_j) and still charge that entry.
+
+W runs the sure-loss sequence only after one of its sequences stalls,
+and then reports the sure-loss witness if that sequence stalls too, the
+stalled j0's witness otherwise. That is the verdict and witness of
+running sure loss first: by the same restriction argument, a sure-loss
+stall set L stalls the sequence of every j0 in L, so when every j0
+sequence settles, the sure-loss sequence would have settled as well.
 
 The first round of every sequence has every entry live, so its alpha has
 sum_w alpha(w) c_j(w) >= 0 for every entry j. The first-round alpha of
@@ -194,15 +201,24 @@ def conjugate(assessment: Assessment) -> Assessment:
 def _rows(entries):
     """Per entry: the conditioning mask, and the coefficient row X(w) -
     value on it, 0 elsewhere. Every row is scaled by one positive lcm of
-    all the denominators to ints, so every sign and difference keeps its sign."""
-    masks = [g.conditioning.mask for g, _ in entries]
-    n = entries[0][0].universe.size
-    coeffs = [
-        [g.payoff.values[i] - v if (mask >> i) & 1 else _ZERO for i in range(n)]
-        for (g, v), mask in zip(entries, masks)
-    ]
-    scale = lcm(*(c.denominator for row in coeffs for c in row))
-    return masks, [[c.numerator * (scale // c.denominator) for c in row] for row in coeffs]
+    the reduced denominators of all those differences to ints, so every
+    sign and difference keeps its sign. A row's differences are put over
+    the lcm q of its denominators; the gcd g of q and their numerators
+    reduces them all, so their reduced denominators have lcm q // g."""
+    masks, rows, dens = [], [], []
+    for g, v in entries:
+        mask = g.conditioning.mask
+        p, q = v.as_integer_ratio()
+        ratios = [x.as_integer_ratio() for x in g.payoff.values]
+        common = lcm(q, *[b for _, b in ratios])
+        top = p * (common // q)
+        nums = [a * (common // b) - top if (mask >> w) & 1 else 0 for w, (a, b) in enumerate(ratios)]
+        divisor = gcd(common, *nums)
+        masks.append(mask)
+        rows.append([c // divisor for c in nums])
+        dens.append(common // divisor)
+    scale = lcm(*dens)
+    return masks, [[c * (scale // d) for c in row] if d != scale else row for row, d in zip(rows, dens)]
 
 
 def _world_indices(mask: int, n: int):
@@ -306,30 +322,34 @@ def _charged(alpha, rows):
 
 
 def _round_search(entries, cls) -> Optional[GainSpec]:
-    """Sure loss and dF in one sequence of rounds; W in the sure-loss
-    sequence and then one sequence per entry bet against; convex in one
+    """Sure loss and dF in one sequence of rounds; W and convex in one
     sequence per entry bet against, over the rows shifted by that entry's
-    row. The first-round masses of every sequence that settles are kept,
-    and a later sequence that one of them already settles is skipped. A
-    stall yields the witness: the cell LP on the stalled entries, solved
-    again on the entries it stakes and the entry bet against."""
+    row for convex. The first-round masses of every sequence that settles
+    are kept, and a later sequence that one of them already settles is
+    skipped. A stall yields the witness: the cell LP on the stalled
+    entries, solved again on the entries it stakes and the entry bet
+    against. W runs the sure-loss sequence only once a sequence stalls,
+    and takes its witness instead if it stalls too, which keeps every
+    verdict and witness (see the module docstring)."""
     masks, rows = _rows(entries)
     n = len(rows[0])
-    sequences = [] if cls == "convex" else [("asl" if cls == "W" else cls, None)]
-    if cls in ("W", "convex"):
-        sequences += [(cls, j0) for j0 in range(len(entries))]
     stored = []  # (support, sums, the sum that settles an entry) per first-round alpha
-    for stage, j0 in sequences:
+    for j0 in range(len(entries)) if cls in ("W", "convex") else [None]:
         if any(support & masks[j0] and sums[j0] == floor for support, sums, floor in stored):
             continue
         shifted = rows
-        if stage == "convex":
+        if cls == "convex":
             shifted = [[a - b for a, b in zip(row, rows[j0])] for row in rows]
-        live, layers = _rounds(masks, shifted, n, stage == "dF", j0)
+        live, layers = _rounds(masks, shifted, n, cls == "dF", j0)
         if live is None:
             support, sums = _charged(layers[0], rows)
             stored.append((support, sums, min(sums) if cls == "convex" else 0))
             continue
+        stage = cls
+        if cls == "W":
+            sure_loss, _ = _rounds(masks, rows, n, False, None)
+            if sure_loss is not None:
+                stage, live, j0 = "asl", sure_loss, None
         stakes = _violating_stakes(stage, live, j0, masks, rows)
         if stakes is None:
             raise AssertionError("a stalled round has a violating gain")

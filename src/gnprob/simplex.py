@@ -2,8 +2,16 @@
 
 A small dense two-phase simplex with Bland's rule, meant for the tiny
 feasibility programs produced by the coherence checker (tens of
-variables and rows). Bland's rule (lowest eligible index for both the
+variables and rows). Bland's rule (lowest eligible label for both the
 entering and the leaving variable) rules out cycling.
+
+The tableau is condensed, in the dictionary form of Chvatal (Linear
+Programming, 1983): it stores one column per nonbasic variable, plus the
+rhs, and no unit column of a basic variable. The slack of a "<=" row
+starts basic, so an LP of n variables and only "<=" rows has a tableau
+n + 1 wide, whatever its number of rows. A variable's label is its
+place in the order structural, slack and surplus, artificial, and a
+pivot swaps the labels of the entering and the leaving variable.
 
 The tableau is fraction-free, in the integer-preserving style of Edmonds
 (1967) and Bareiss, "Sylvester's identity and multistep integer-preserving
@@ -65,40 +73,52 @@ def _integer_row(values) -> tuple[list[int], int]:
 
 
 class _Tableau:
-    """Row r < len(basis) holds D times row r of the normalized (Fraction)
-    tableau, so every basic column reads D in its own row and 0 elsewhere,
-    and the basic variable of row r has the value rows[r][-1] / D. The
-    last row is the objective row: D times the reduced costs, with -D times
-    the objective value in its last entry. Every pivot is on a positive
-    entry, so D stays positive."""
+    """The condensed (dictionary) tableau: one column per nonbasic
+    variable, labelled in ``cols``, plus the rhs; the basic variables are
+    labelled in ``basis``, one per constraint row, and their unit columns
+    are not stored. Row r < len(basis) holds D times row r of the
+    normalized (Fraction) tableau at the nonbasic columns, so the basic
+    variable of row r has the value rows[r][-1] / D. The last row is the
+    objective row: D times the reduced costs of the nonbasic variables,
+    with -D times the objective value in its last entry. Every pivot is on
+    a positive entry, so D stays positive."""
 
-    def __init__(self, rows, basis, ncols):
-        self.rows = rows + [[0] * (ncols + 1)]  # int lists, last entry is the rhs
+    def __init__(self, rows, basis, cols):
+        self.rows = rows + [[0] * (len(cols) + 1)]  # int lists, last entry is the rhs
         self.basis = basis          # basic variable of each constraint row
-        self.ncols = ncols          # number of variable columns
+        self.cols = cols            # nonbasic variable of each column
         self.d = 1                  # common denominator, kept positive
 
-    def pivot(self, row: int, col: int) -> None:
+    def pivot(self, row: int, k: int) -> None:
+        """Swap basis[row] and cols[k]. Row ``row`` is kept; column k turns
+        into the leaving variable's, D in row ``row`` and minus the old
+        column k elsewhere, and the new D is the pivot entry."""
         rows = self.rows
         prow = rows[row]
-        p = prow[col]
+        p = prow[k]
         d = self.d
         for r, line in enumerate(rows):
             if r != row:
-                factor = line[col]
+                factor = line[k]
                 if factor:
-                    rows[r] = [(a * p - factor * b) // d for a, b in zip(line, prow)]
+                    line = [(a * p - factor * b) // d for a, b in zip(line, prow)]
+                    line[k] = -factor
+                    rows[r] = line
                 elif p != d:
                     rows[r] = [a * p // d for a in line]
+        prow[k] = d
         self.d = p
-        self.basis[row] = col
+        self.basis[row], self.cols[k] = self.cols[k], self.basis[row]
 
     def run(self, cost: list[int], banned: Sequence[int]) -> str:
         """Maximize cost'x from the current basis. Returns "optimal" or
-        "unbounded". ``cost`` has one integer entry per column and is
-        first reduced against the current basis into the objective row."""
+        "unbounded". ``cost`` has one integer entry per variable and is
+        first reduced against the current basis into the objective row.
+        Bland's rule: the eligible nonbasic variable of smallest label
+        enters, and ties in the ratio test go to the smallest basic label."""
         rows = self.rows
-        z = [self.d * c for c in cost] + [0]
+        cols = self.cols
+        z = [self.d * cost[c] for c in cols] + [0]
         for line, b in zip(rows, self.basis):
             cb = cost[b]
             if cb:
@@ -107,10 +127,9 @@ class _Tableau:
         while True:
             z = rows[-1]
             enter = -1
-            for j in range(self.ncols):
-                if z[j] > 0 and j not in banned:
-                    enter = j
-                    break
+            for k, c in enumerate(cols):
+                if z[k] > 0 and c not in banned and (enter < 0 or c < cols[enter]):
+                    enter = k
             if enter < 0:
                 return "optimal"
             leave = -1
@@ -151,52 +170,59 @@ def solve_lp(
             rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
         rows.append((row, rel, scale))
 
-    # Column layout: structural | slack/surplus | artificial.
-    slack = n
+    # Variable labels: structural | slack/surplus | artificial. The slack
+    # of a "<=" row starts basic, so only the structural and the surplus
+    # variables start with a column.
     art = first_art = n + sum(rel != "==" for _, rel, _ in rows)
-    ncols = first_art + sum(rel != "<=" for _, rel, _ in rows)
+    nvars = first_art + sum(rel != "<=" for _, rel, _ in rows)
+    width = n + sum(rel == ">=" for _, rel, _ in rows)
     # Row i was scaled by the lcm s_i of its denominators, which scales
     # its artificial by s_i too; the phase-1 cost -1 of the unscaled
     # artificial becomes -1/s_i, here times the positive lcm of the s_i.
     top = lcm(*(scale for _, rel, scale in rows if rel != "<="))
-    phase1 = [0] * ncols
-    table, basis = [], []
+    phase1 = [0] * nvars
+    table, basis, cols = [], [], list(range(n))
+    slack = n
     for row, rel, scale in rows:
-        line = row[:n] + [0] * (ncols - n) + row[n:]
-        if rel != "==":
-            line[slack] = 1 if rel == "<=" else -1
-            slack += 1
+        line = row[:n] + [0] * (width - n) + row[n:]
+        if rel == ">=":
+            line[len(cols)] = -1
+            cols.append(slack)
         if rel == "<=":
-            basis.append(slack - 1)
+            basis.append(slack)
         else:
-            line[art] = 1
             phase1[art] = -(top // scale)
             basis.append(art)
             art += 1
+        slack += rel != "=="
         table.append(line)
 
-    tab = _Tableau(table, basis, ncols)
-    artificials = range(first_art, ncols)
+    tab = _Tableau(table, basis, cols)
+    artificials = range(first_art, nvars)
 
     if artificials:
         if tab.run(phase1, banned=()) != "optimal":
             raise AssertionError("phase 1 is always bounded")
         if any(line[-1] > 0 for line, b in zip(tab.rows, tab.basis) if b in artificials):
             return LpResult("infeasible", None, None)
-        # Pivot leftover artificials out of the basis where possible;
+        # Pivot leftover artificials out of the basis where possible, on
+        # the nonbasic variable of smallest label below the artificials;
         # a row with no eligible pivot is redundant and can be ignored
         # because its rhs is zero. That zero rhs also lets a row be
-        # negated first, so that its pivot entry is positive.
+        # negated first, so that its pivot entry is positive; the
+        # artificial then leaves with a negated column, which phase 2,
+        # banning every artificial, never reads.
         for r, b in enumerate(tab.basis):
             if b in artificials:
-                for j in range(first_art):
-                    if tab.rows[r][j]:
-                        if tab.rows[r][j] < 0:
-                            tab.rows[r] = [-a for a in tab.rows[r]]
-                        tab.pivot(r, j)
-                        break
+                line = tab.rows[r]
+                eligible = [(c, k) for k, c in enumerate(tab.cols) if c < first_art and line[k]]
+                if eligible:
+                    k = min(eligible)[1]
+                    if line[k] < 0:
+                        tab.rows[r] = [-a for a in line]
+                    tab.pivot(r, k)
 
-    if tab.run(cost + [0] * (ncols - n), banned=artificials) == "unbounded":
+    if tab.run(cost + [0] * (nvars - n), banned=artificials) == "unbounded":
         return LpResult("unbounded", None, None)
 
     solution = [_ZERO] * n

@@ -33,14 +33,21 @@ The library keeps the first-round masses of each sequence and skips a
 later sequence that they already settle; its rounds divide each row by
 the row's gcd, and its ``1convex`` scan rules out pairs by sign masks.
 ``oracle_check`` decides without any of that: ``oracle_round_search``
-runs every sequence in weighted rounds over the lcm rows, and
-``oracle_one_convex_search`` compares every ordered pair of rows on
-their whole conditioning union. Verdicts and witnesses must be equal.
+runs every sequence, the sure-loss one first for W, in weighted rounds
+over the lcm rows, and ``oracle_one_convex_search`` compares every
+ordered pair of rows on their whole conditioning union. Verdicts and
+witnesses must be equal.
+
+The library builds the integer rows of a check from integer ratios;
+``oracle_rows`` subtracts each value from the payoff in ``Fraction``s
+and scales by the lcm of the differences' denominators, and the two
+must give the same ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Optional
 
 from gnprob import (
@@ -252,6 +259,19 @@ def oracle_with_centering(entries):
     return entries + [(z, Fraction(0)) for z in added], tuple(added)
 
 
+def oracle_rows(entries):
+    """``coherence._rows`` in Fractions: X(w) - value on B, 0 off it,
+    times the lcm of all those differences' denominators."""
+    masks = [g.conditioning.mask for g, _ in entries]
+    n = entries[0][0].universe.size
+    coeffs = [
+        [g.payoff.values[i] - v if (mask >> i) & 1 else Fraction(0) for i in range(n)]
+        for (g, v), mask in zip(entries, masks)
+    ]
+    scale = lcm(*(c.denominator for row in coeffs for c in row))
+    return masks, [[c.numerator * (scale // c.denominator) for c in row] for row in coeffs]
+
+
 def grid_search(assessment: Assessment, cls: str) -> Optional[GainSpec]:
     """The first violating gain over (subfamily, entry bet against) cells,
     after conjugating an upper assessment and, for convex, centering it:
@@ -261,7 +281,7 @@ def grid_search(assessment: Assessment, cls: str) -> Optional[GainSpec]:
     entries = list(assessment.entries)
     if cls == "convex":
         entries, _ = oracle_with_centering(entries)
-    masks, rows = coherence._rows(entries)
+    masks, rows = oracle_rows(entries)
     m = len(entries)
     for subset in range(1, 1 << m):
         chosen = [k for k in range(m) if (subset >> k) & 1]
@@ -314,7 +334,7 @@ def oracle_rounds(masks, rows, n, both_ways, j0, weighted=False):
 def oracle_round_search(entries, cls) -> Optional[GainSpec]:
     """``coherence._round_search`` with no kept masses: every sequence runs,
     in weighted rounds over the lcm rows."""
-    masks, rows = coherence._rows(entries)
+    masks, rows = oracle_rows(entries)
     n = len(rows[0])
     sequences = [] if cls == "convex" else [("asl" if cls == "W" else cls, None)]
     if cls in ("W", "convex"):
@@ -336,7 +356,7 @@ def oracle_round_search(entries, cls) -> Optional[GainSpec]:
 def oracle_one_convex_search(entries) -> Optional[GainSpec]:
     """``coherence._one_convex_search`` comparing every ordered pair of
     rows on the union of its two conditioning events."""
-    masks, rows = coherence._rows(entries)
+    masks, rows = oracle_rows(entries)
     n = entries[0][0].universe.size
     for j in range(len(entries)):
         for i in range(len(entries)):

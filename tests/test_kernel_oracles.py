@@ -1,10 +1,12 @@
 """The canonical conditional payoff, the integer evaluators, the integer GN
-kernel, the monotonicity audit and the centering of convex checks against
-their oracles, and the bounds lemma behind the audit's prefilter."""
+kernel, the monotonicity audit, the centering of convex checks and the
+integer rows of the consistency checks against their oracles, and the
+bounds lemma behind the audit's prefilter."""
 
 import copy
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,7 +25,7 @@ from gnprob import (
     monotonicity_audit,
     sup_over,
 )
-from gnprob import inequalities
+from gnprob import coherence, inequalities
 from gnprob.coherence import _with_centering
 
 from conftest import make_universe, random_gn_above
@@ -33,6 +35,7 @@ from oracles import (
     oracle_monotonicity_audit,
     oracle_prevision,
     oracle_probability,
+    oracle_rows,
     oracle_with_centering,
 )
 
@@ -322,3 +325,42 @@ class TestCenteringAgainstOracle:
                     zeros[value] = zeros.get(value, 0) + 1
             assert _with_centering(entries) == oracle_with_centering(entries)
         assert zeros[0] >= 50 and zeros[1] >= 50
+
+
+class TestRowsAgainstOracle:
+    def test_seeded_rows_equal(self):
+        # Payoffs with denominators up to 12, or integers; values that are
+        # fractions, integers or one of the entry's own payoffs; conditioning
+        # on omega or on a random event; and, after centering, zero rows.
+        kinds = Counter()
+        for seed in range(1200):
+            rng = random.Random(seed)
+            u = make_universe(rng.randint(1, 6))
+            omega = (1 << u.size) - 1
+            entries = []
+            for _ in range(rng.randint(1, 6)):
+                b = Event(u, omega if rng.random() < 0.3 else nonempty_mask(rng, omega))
+                if rng.random() < 0.2:
+                    payoff = Gamble(u, [rng.randint(-6, 6) for _ in range(u.size)])
+                else:
+                    payoff = Gamble(
+                        u, [Fraction(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(u.size)]
+                    )
+                gamble = ConditionalGamble(payoff, b)
+                draw = rng.random()
+                if draw < 0.3:
+                    value = gamble.payoff.values[rng.choice(list(b.indices()))]
+                    kinds["payoff value"] += 1
+                elif draw < 0.5:
+                    value = Fraction(rng.randint(-3, 3))
+                else:
+                    value = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+                kinds["omega"] += b.is_omega
+                entries.append((gamble, value))
+            if rng.random() < 0.5:
+                entries, _ = _with_centering(entries)
+            masks, rows = coherence._rows(entries)
+            assert (masks, rows) == oracle_rows(entries), seed
+            assert all(type(c) is int for row in rows for c in row)
+            kinds["zero row"] += sum(not any(row) for row in rows)
+        assert min(kinds.values()) >= 200, kinds

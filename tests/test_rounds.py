@@ -330,8 +330,9 @@ def test_entry_cap_holds_for_every_class(cls):
 
 
 def test_w_reports_a_sure_loss_without_a_bet_against():
-    # W runs the sure-loss sequence first, so an assessment that incurs
-    # sure loss gets the sure-loss witness, which has no bet against.
+    # W runs the sure-loss sequence once a sequence stalls and reports its
+    # witness if it stalls too, so an assessment that incurs sure loss
+    # gets the sure-loss witness, which has no bet against.
     found = 0
     for seed in range(5000, 5100):
         assessment = seeded_assessment(seed)
@@ -341,3 +342,52 @@ def test_w_reports_a_sure_loss_without_a_bet_against():
             witness = check(assessment, "W").witness
             assert (witness, witness.against) == (asl.witness, None)
     assert found >= 20
+
+
+def envelope_assessment(seed, bump=False):
+    """2-6 worlds, 2-6 distinct entries (event indicators or gambles)
+    valued at a credal lower envelope, which is W-consistent; with
+    ``bump``, every value is raised by 1/4 to 1, which mostly incurs
+    sure loss."""
+    rng = random.Random(seed)
+    u = make_universe(rng.randint(2, 6))
+    lower = random_credal(rng.randrange(10**6), u, rng.randint(1, 3), max_layers=3).lower
+    gambles = []
+    for _ in range(rng.randint(2, 6)):
+        if rng.random() < 0.5:
+            gamble = ConditionalGamble.from_event(random_conditional_event(rng, u))
+        else:
+            gamble = random_conditional_gamble(rng, u)
+        if gamble not in gambles:
+            gambles.append(gamble)
+    entries = [(g, lower(g) + (Fraction(1, rng.randint(1, 4)) if bump else 0)) for g in gambles]
+    return Assessment(tuple(entries), kind="lower")
+
+
+def test_consistent_w_checks_run_no_sure_loss_sequence(monkeypatch):
+    # W runs the sure-loss sequence only after a sequence with an entry
+    # bet against stalls, so a consistent W check never runs it.
+    calls = []
+    rounds = coherence._rounds
+
+    def recording(masks, rows, n, both_ways, j0):
+        calls.append(j0)
+        return rounds(masks, rows, n, both_ways, j0)
+
+    monkeypatch.setattr(coherence, "_rounds", recording)
+    for seed in range(200):
+        calls.clear()
+        assert check(envelope_assessment(seed), "W").consistent, seed
+        assert calls and None not in calls, seed
+
+
+def test_w_with_sure_loss_reports_the_sure_loss_witness():
+    found = 0
+    for seed in range(200):
+        assessment = envelope_assessment(seed, bump=True)
+        asl = check_avoiding_sure_loss(assessment)
+        if not asl.consistent:
+            found += 1
+            witness = check(assessment, "W").witness
+            assert witness.against is None and witness == asl.witness, seed
+    assert found >= 50

@@ -25,20 +25,31 @@ from simplex_oracle import oracle_solve_lp
 
 
 def record_pivots(monkeypatch, tableau):
-    """Log the (row, col, entry) of every pivot of the tableau class."""
+    """Log the (row, entering variable, entry) of every pivot of the
+    tableau class. The kernel's condensed tableau labels its columns in
+    ``cols``; a column of the oracle's full tableau is its own variable.
+    After every kernel pivot each row has one entry per nonbasic variable
+    plus the rhs, no variable is both basic and nonbasic, and the common
+    denominator is positive."""
     log = []
     pivot = tableau.pivot
+    condensed = tableau is gnprob.simplex._Tableau
 
     def recording_pivot(tab, row, col):
-        log.append((row, col, tab.rows[row][col]))
+        log.append((row, tab.cols[col] if condensed else col, tab.rows[row][col]))
         pivot(tab, row, col)
+        if condensed:
+            assert all(len(line) == len(tab.cols) + 1 for line in tab.rows)
+            assert not set(tab.cols) & set(tab.basis)
+            assert tab.d > 0
 
     monkeypatch.setattr(tableau, "pivot", recording_pivot)
     return log
 
 
-def positions(log):
-    return [(row, col) for row, col, _ in log]
+def steps(log):
+    """The (row, entering variable) of each logged pivot."""
+    return [(row, variable) for row, variable, _ in log]
 
 
 class TestHandInstances:
@@ -146,18 +157,11 @@ class TestPinnedPivots:
         # leaves its artificial basic at zero, and pivoting it out uses the
         # surplus column, whose entry is negative there. The Fraction
         # oracle pivots on that negative entry; the kernel negates the
-        # row first (its rhs is 0), so it pivots on a positive entry at
-        # the same position and the common denominator stays positive.
+        # row first (its rhs is 0), so it pivots on a positive entry for
+        # the same entering variable and the common denominator stays
+        # positive.
         oracle = record_pivots(monkeypatch, simplex_oracle._Tableau)
-        kernel = []
-        pivot = gnprob.simplex._Tableau.pivot
-
-        def recording_pivot(tab, row, col):
-            kernel.append((row, col, tab.rows[row][col]))
-            pivot(tab, row, col)
-            assert tab.d > 0
-
-        monkeypatch.setattr(gnprob.simplex._Tableau, "pivot", recording_pivot)
+        kernel = record_pivots(monkeypatch, gnprob.simplex._Tableau)
         constraints = [
             ([Fraction(1, 2), Fraction(1, 3)], "==", Fraction(1, 6)),
             ([Fraction(3, 2), 1], ">=", Fraction(1, 2)),
@@ -165,7 +169,7 @@ class TestPinnedPivots:
         result = solve_lp([0, 1], constraints)
         assert result == oracle_solve_lp([0, 1], constraints)
         assert all(p > 0 for _, _, p in kernel)
-        assert positions(kernel) == positions(oracle)
+        assert steps(kernel) == steps(oracle)
         assert any(p < 0 for _, _, p in oracle)
         assert result.objective == Fraction(1, 2)
         assert result.solution == (Fraction(0), Fraction(1, 2))
@@ -299,7 +303,8 @@ class TestAgainstFractionOracle:
             assert result == oracle_solve_lp(objective, constraints, maximize=maximize), (
                 objective, constraints, maximize,
             )
-            assert positions(kernel) == positions(oracle), (objective, constraints, maximize)
+            assert steps(kernel) == steps(oracle), (objective, constraints, maximize)
+            assert all(p > 0 for _, _, p in kernel)
             pivots += len(kernel)
             statuses[result.status] = statuses.get(result.status, 0) + 1
         assert set(statuses) == {"optimal", "unbounded", "infeasible"}
@@ -318,7 +323,8 @@ class TestAgainstFractionOracle:
             oracle.clear()
             result = solve_lp(objective, constraints, **kwargs)
             assert result == oracle_solve_lp(objective, constraints, **kwargs)
-            assert positions(kernel) == positions(oracle)
+            assert steps(kernel) == steps(oracle)
+            assert all(p > 0 for _, _, p in kernel)
             pivots += len(kernel)
             solved.append(result.objective > 0)
             return result
