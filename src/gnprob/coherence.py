@@ -37,19 +37,20 @@ of the first round of another sequence to settle an entry of L,
 restricted to the union of L, would keep every sum of L (each c_j
 vanishes off B_j) and still charge that entry.
 
-W runs the sure-loss sequence only after one of its sequences stalls,
-and then reports the sure-loss witness if that sequence stalls too, the
-stalled j0's witness otherwise. That is the verdict and witness of
-running sure loss first: by the same restriction argument, a sure-loss
-stall set L stalls the sequence of every j0 in L, so when every j0
-sequence settles, the sure-loss sequence would have settled as well.
+W's fallback is the sure-loss search itself: once a W sequence stalls,
+W returns the sure-loss witness if there is one, the stalled j0's
+witness otherwise. That is the verdict and witness of running sure loss
+first: by the same restriction argument, a sure-loss stall set L stalls
+the sequence of every j0 in L, so when every j0 sequence settles, the
+sure-loss sequence would have settled as well.
 
-The first round of every sequence has every entry live, so its alpha has
-sum_w alpha(w) c_j(w) >= 0 for every entry j. The first-round alpha of
-each sequence that settles is kept, and the sequence for a later j0 is
-skipped when a kept alpha charges B_j0 and has sum_w alpha(w) c_j0(w) ==
-0 (W). Such an alpha is feasible for the first round of j0's sequence
-and charges B_j0, so that round's optimum charges B_j0 too: the skipped
+The first-round alpha of each sequence that settles is kept with the
+least of its sums over all entries, centering ones included. One rule
+serves W and convex: the sequence for a later j0 is skipped when a kept
+alpha charges B_j0 and its j0 sum is that least sum. For W the least sum
+is 0: a first round keeps every sum >= 0 and its tested entry's at 0.
+Such an alpha is feasible for the first round of j0's sequence and
+charges B_j0, so that round's optimum charges B_j0 too: the skipped
 sequence would have settled j0 at once, without a stall, and skipping it
 moves no verdict and no witness.
 
@@ -59,10 +60,9 @@ exact: by LP duality the gains over a subfamily S with j0 bet against
 have no violation exactly when some probability alpha on the union U_S
 has sum_w alpha(w) (c_j(w) - c_j0(w)) >= 0 for every j in S. A round's
 alpha, restricted to U_S, keeps those sums, because each c_j vanishes
-off B_j, so W's settling argument carries over word for word. A kept
-alpha settles j0 here when it charges B_j0 and sum_w alpha(w) c_j0(w) is
-the least of its sums over all entries, centering ones included: then it
-keeps every row shifted by c_j0 nonnegative.
+off B_j, so W's settling argument carries over word for word, and a
+kept alpha whose j0 sum is its least keeps every row shifted by c_j0
+nonnegative, so the skip rule holds here too.
 
 A stall yields the witness through one gain LP, which one function,
 :func:`_violating_stakes`, builds, solves and decodes: maximize a margin
@@ -134,7 +134,8 @@ class GainSpec:
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise ValidationError("a gain needs at least one term")
-        if self.against is not None and not 0 <= self.against < len(self.terms):
+        against = self.against
+        if against is not None and (type(against) is not int or not 0 <= against < len(self.terms)):
             raise ValidationError("against index out of range")
         for term in self.terms[1:]:
             _require_same_universe(self.terms[0].gamble, term.gamble)
@@ -324,18 +325,17 @@ def _charged(alpha, rows):
 def _round_search(entries, cls) -> Optional[GainSpec]:
     """Sure loss and dF in one sequence of rounds; W and convex in one
     sequence per entry bet against, over the rows shifted by that entry's
-    row for convex. The first-round masses of every sequence that settles
-    are kept, and a later sequence that one of them already settles is
-    skipped. A stall yields the witness: the cell LP on the stalled
-    entries, solved again on the entries it stakes and the entry bet
-    against. W runs the sure-loss sequence only once a sequence stalls,
-    and takes its witness instead if it stalls too, which keeps every
-    verdict and witness (see the module docstring)."""
+    row for convex. Each settled sequence keeps its first-round masses and
+    their least sum; a later j0 is skipped when kept masses charge B_j0
+    and their j0 sum is that least sum (0 for W). A stall yields the
+    witness: the cell LP on the stalled entries, solved again on the
+    entries it stakes and the entry bet against. W's fallback is this
+    search for sure loss, whose witness it returns if there is one."""
     masks, rows = _rows(entries)
     n = len(rows[0])
-    stored = []  # (support, sums, the sum that settles an entry) per first-round alpha
+    stored = []  # (support, sums, least sum) per first-round alpha
     for j0 in range(len(entries)) if cls in ("W", "convex") else [None]:
-        if any(support & masks[j0] and sums[j0] == floor for support, sums, floor in stored):
+        if any(support & masks[j0] and sums[j0] == least for support, sums, least in stored):
             continue
         shifted = rows
         if cls == "convex":
@@ -343,18 +343,17 @@ def _round_search(entries, cls) -> Optional[GainSpec]:
         live, layers = _rounds(masks, shifted, n, cls == "dF", j0)
         if live is None:
             support, sums = _charged(layers[0], rows)
-            stored.append((support, sums, min(sums) if cls == "convex" else 0))
+            stored.append((support, sums, min(sums)))
             continue
-        stage = cls
         if cls == "W":
-            sure_loss, _ = _rounds(masks, rows, n, False, None)
+            sure_loss = _round_search(entries, "asl")
             if sure_loss is not None:
-                stage, live, j0 = "asl", sure_loss, None
-        stakes = _violating_stakes(stage, live, j0, masks, rows)
+                return sure_loss
+        stakes = _violating_stakes(cls, live, j0, masks, rows)
         if stakes is None:
             raise AssertionError("a stalled round has a violating gain")
         chosen = [k for k, s in zip(live, stakes[0]) if s or k == j0]
-        return _gain(entries, chosen, j0, *_violating_stakes(stage, chosen, j0, masks, rows))
+        return _gain(entries, chosen, j0, *_violating_stakes(cls, chosen, j0, masks, rows))
     return None
 
 

@@ -27,7 +27,6 @@ from .algebra import (
     ConditionalEvent,
     ConditionalGamble,
     Partition,
-    _require_same_universe,
     inner_event,
     outer_event,
 )
@@ -67,7 +66,6 @@ class ExtensionInterval:
 def _approximation(cd, p, true_part, false_part) -> Optional[ConditionalEvent]:
     """``true_part`` of the true part, conditioned on that plus
     ``false_part`` of the false part; None when that conditioning is empty."""
-    _require_same_universe(cd.conditioning, p)
     conditioned = true_part(cd.conditioned, p)
     conditioning = conditioned | false_part(cd.false_part, p)
     return None if conditioning.is_empty else ConditionalEvent(conditioned, conditioning)
@@ -145,15 +143,8 @@ def df_to_imprecise(
     the precise measure could coherently extend to, and each side is a
     coherent imprecise assessment in its own right.
     """
-    lows = natural_extension(precise.value, targets, p, side="lower")
-    highs = natural_extension(precise.value, targets, p, side="upper")
-    lower_entries = tuple(
-        (ConditionalGamble.from_event(cd), v) for cd, v in zip(targets, lows)
-    )
-    upper_entries = tuple(
-        (ConditionalGamble.from_event(cd), v) for cd, v in zip(targets, highs)
-    )
-    return (
-        Assessment(lower_entries, kind="lower", consistency="W"),
-        Assessment(upper_entries, kind="upper", consistency="W"),
+    gambles = [ConditionalGamble.from_event(cd) for cd in targets]
+    return tuple(
+        Assessment(tuple(zip(gambles, natural_extension(precise.value, targets, p, side))), side, "W")
+        for side in ("lower", "upper")
     )

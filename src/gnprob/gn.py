@@ -25,9 +25,10 @@ order whose sup and inf do not already rule the relation out.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 from math import lcm
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import (
     ConditionalEvent,
@@ -155,7 +156,8 @@ def gn_compare_gambles(xb: ConditionalGamble, yd: ConditionalGamble) -> GnVerdic
     return _verdict(gn_leq_gambles(xb, yd), gn_leq_gambles(yd, xb))
 
 
-class ConditionalImplication(NamedTuple):
+@dataclass(frozen=True)
+class ConditionalImplication:
     """An implication between conditional events sharing one conditioning."""
 
     antecedent: ConditionalEvent

@@ -265,16 +265,14 @@ def finite_values_lower_bound(
     context = f"B={b!r}"
     if inf_over(x, b) < 0:
         return _not_applicable("level-set-bound", context)
-    universe = x.universe
+    levels: dict[Fraction, int] = {}
+    for i in b.indices():
+        levels[x.values[i]] = levels.get(x.values[i], 0) | 1 << i
     bound = _ZERO
-    for value in sorted(set(x.values[i] for i in b.indices())):
+    for value, mask in sorted(levels.items()):
         if value == 0:
             continue
-        level_mask = 0
-        for i in b.indices():
-            if x.values[i] == value:
-                level_mask |= 1 << i
-        level = ConditionalEvent(Event(universe, level_mask), b)
+        level = ConditionalEvent(Event(x.universe, mask), b)
         weight = _ONE if level.is_trivial else mu.lower(conditional_inner(level, p))
         bound += value * weight
     rhs = truth(ConditionalGamble(x, b)) if truth is not None else None
@@ -308,15 +306,13 @@ def sign_relation(x: Gamble, b1: Event, b0: Event) -> SignRelationReport:
     low = inf_over(x, b1)
     high = sup_over(x, b1)
     if b1 == b0:
-        return SignRelationReport(
-            GnVerdict.EQUIVALENT, low, high, "identical conditional gambles"
-        )
-    if low >= 0 and high <= 0:
-        return SignRelationReport(GnVerdict.EQUIVALENT, low, high, "X vanishes on B1")
-    if low >= 0:
-        return SignRelationReport(GnVerdict.LEQ, low, high, "X nonnegative on B1")
-    if high <= 0:
-        return SignRelationReport(GnVerdict.GEQ, low, high, "X nonpositive on B1")
-    return SignRelationReport(
-        GnVerdict.INCOMPARABLE, low, high, "X takes values of both signs on B1"
-    )
+        verdict, rationale = GnVerdict.EQUIVALENT, "identical conditional gambles"
+    elif low >= 0 and high <= 0:
+        verdict, rationale = GnVerdict.EQUIVALENT, "X vanishes on B1"
+    elif low >= 0:
+        verdict, rationale = GnVerdict.LEQ, "X nonnegative on B1"
+    elif high <= 0:
+        verdict, rationale = GnVerdict.GEQ, "X nonpositive on B1"
+    else:
+        verdict, rationale = GnVerdict.INCOMPARABLE, "X takes values of both signs on B1"
+    return SignRelationReport(verdict, low, high, rationale)

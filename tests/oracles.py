@@ -38,6 +38,10 @@ over the lcm rows, and ``oracle_one_convex_search`` compares every
 ordered pair of rows on their whole conditioning union. Verdicts and
 witnesses must be equal.
 
+The library's level-set bound maps each value of X on B to its level
+mask in one pass over B; ``oracle_finite_values_lower_bound`` rescans B
+for each distinct value, and the two must give equal reports.
+
 The library builds the integer rows of a check from integer ratios;
 ``oracle_rows`` subtracts each value from the payoff in ``Fraction``s
 and scales by the lcm of the differences' denominators, and the two
@@ -52,8 +56,10 @@ from typing import Iterator, Optional
 
 from gnprob import (
     Assessment,
+    BoundReport,
     ConditionalEvent,
     ConditionalGamble,
+    EmptyConditioningError,
     EnumerationLimitError,
     Event,
     GainSpec,
@@ -65,6 +71,7 @@ from gnprob import (
     ValidationError,
     Verdict,
     coherence,
+    conditional_inner,
     conjugate,
     gn_leq_events,
     inf_over,
@@ -382,3 +389,26 @@ def oracle_check(assessment: Assessment, cls: str) -> Verdict:
     else:
         witness = oracle_round_search(entries, cls)
     return Verdict(witness is None, witness, centering)
+
+
+def oracle_finite_values_lower_bound(mu, x: Gamble, b: Event, p: Partition, truth=None) -> BoundReport:
+    """``finite_values_lower_bound`` rescanning B for the level set of
+    each distinct value of X on B, in increasing order of value."""
+    if b.is_empty:
+        raise EmptyConditioningError("B must be nonempty")
+    context = f"B={b!r}"
+    if inf_over(x, b) < 0:
+        return BoundReport("level-set-bound", None, None, None, False, context)
+    bound = Fraction(0)
+    for value in sorted(set(x.values[i] for i in b.indices())):
+        if value == 0:
+            continue
+        level_mask = 0
+        for i in b.indices():
+            if x.values[i] == value:
+                level_mask |= 1 << i
+        level = ConditionalEvent(Event(x.universe, level_mask), b)
+        weight = Fraction(1) if level.is_trivial else mu.lower(conditional_inner(level, p))
+        bound += value * weight
+    rhs = truth(ConditionalGamble(x, b)) if truth is not None else None
+    return BoundReport("level-set-bound", bound, rhs, None if rhs is None else bound <= rhs, True, context)

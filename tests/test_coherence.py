@@ -103,6 +103,17 @@ class TestGainValidation:
         with pytest.raises(ValidationError):
             GainTerm(stake, cg, value)
 
+    @pytest.mark.parametrize("against", [True, 0.0, "0"], ids=repr)
+    def test_against_that_is_not_an_int_refused(self, against):
+        # As in Universe.index, a bool or a float equal to an index is no index.
+        u = make_universe(2)
+        terms = tuple(
+            GainTerm(Fraction(1), ConditionalGamble(Gamble.indicator(u.event([w])), u.omega), Fraction(1, 2))
+            for w in ("w1", "w2")
+        )
+        with pytest.raises(ValidationError):
+            GainSpec(terms, against=against)
+
     def test_int_stake_becomes_a_fraction(self):
         u = make_universe(2)
         cg = ConditionalGamble(Gamble.indicator(u.event(["w1"])), u.omega)

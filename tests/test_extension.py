@@ -9,8 +9,11 @@ from gnprob import (
     ConditionalEvent,
     CredalSet,
     EnumerationLimitError,
+    LayeredProbability,
     Partition,
     TrivialTargetError,
+    Universe,
+    UniverseMismatchError,
     UnsupportedOperationError,
     check,
     conditional_inner,
@@ -72,6 +75,33 @@ class TestConditionalInnerOuter:
                     assert inner is not None and outer is not None
                     assert gn_leq_events(inner, cd)
                     assert gn_leq_events(cd, outer)
+
+
+class TestUniverseMismatch:
+    # Every entry point derives its inner or outer event through
+    # inner_event and outer_event, which refuse the partition of another
+    # universe with the same message, target's universe first.
+    ENTRY_POINTS = {
+        "conditional_inner": lambda mu, cd, p: conditional_inner(cd, p),
+        "conditional_outer": lambda mu, cd, p: conditional_outer(cd, p),
+        "extension_interval": extension_interval,
+        "natural_extension_lower": lambda mu, cd, p: natural_extension(mu, [cd], p, "lower"),
+        "natural_extension_upper": lambda mu, cd, p: natural_extension(mu, [cd], p, "upper"),
+        "upper_extension": upper_extension,
+        "df_to_imprecise": lambda mu, cd, p: df_to_imprecise(mu, [cd], p),
+    }
+
+    @pytest.mark.parametrize("other", [Universe(("a", "b", "c")), make_universe(4)], ids=repr)
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_partition_of_another_universe_refused(self, entry, other):
+        u = make_universe(3)
+        cd = ConditionalEvent(u.event(["w1"]), u.event(["w1", "w2"]))
+        mu = LayeredProbability(u, [[Fraction(1, 3)] * 3])
+        with pytest.raises(UniverseMismatchError) as refused:
+            self.ENTRY_POINTS[entry](mu, cd, Partition.trivial(other))
+        assert str(refused.value) == (
+            f"operands live on different universes: {u.worlds} vs {other.worlds}"
+        )
 
 
 class TestGnSets:

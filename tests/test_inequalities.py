@@ -26,6 +26,7 @@ from gnprob import (
     nested_conditioning_report,
     product_rule_report,
     random_credal,
+    random_layered,
     sign_relation,
 )
 from conftest import (
@@ -37,6 +38,7 @@ from conftest import (
     random_gn_above,
     random_partition,
 )
+from oracles import oracle_finite_values_lower_bound
 
 
 class TestProductRule:
@@ -393,6 +395,29 @@ class TestFiniteValuesLowerBound:
                 continue
             assert report.holds, (u, b, x)
             done += 1
+
+    def test_agrees_with_the_rescan_oracle(self):
+        # One pass over B keyed by value gives the report that rescanning B
+        # for each distinct value gave. The small pool repeats values, and
+        # zeros and negatives on B reach the skipped and refused levels.
+        pool = [Fraction(v) for v in ("0", "0", "1/3", "1/2", "1", "2", "2", "-1")]
+        rng = random.Random(31)
+        applicable = 0
+        for k in range(500):
+            u = make_universe(rng.randint(1, 6))
+            seed = rng.randrange(10**6)
+            if k % 2:
+                mu = random_credal(seed, u, rng.randint(1, 3), max_layers=2)
+            else:
+                mu = random_layered(seed, u, max_layers=2)
+            truth = mu.lower if k // 2 % 2 else None
+            p = random_partition(rng, u)
+            b = random_event(rng, u)
+            x = Gamble(u, [rng.choice(pool) for _ in range(u.size)])
+            report = finite_values_lower_bound(mu, x, b, p, truth=truth)
+            assert report == oracle_finite_values_lower_bound(mu, x, b, p, truth=truth), k
+            applicable += report.applicable
+        assert 250 <= applicable < 500
 
 
 class TestSignRelation:

@@ -381,6 +381,25 @@ def test_consistent_w_checks_run_no_sure_loss_sequence(monkeypatch):
         assert calls and None not in calls, seed
 
 
+def test_kept_w_masses_have_least_sum_zero(monkeypatch):
+    # W and convex share one skip rule: a kept first-round alpha settles a
+    # later j0 when it charges B_j0 and its j0 sum is the least of its
+    # sums. For W that least sum is 0, so W skips where the j0 sum is 0.
+    least = []
+    charged = coherence._charged
+
+    def recording(alpha, rows):
+        support, sums = charged(alpha, rows)
+        least.append(min(sums))
+        return support, sums
+
+    monkeypatch.setattr(coherence, "_charged", recording)
+    for seed in range(200):
+        least.clear()
+        assert check(envelope_assessment(seed), "W").consistent, seed
+        assert least and set(least) == {0}, seed
+
+
 def test_w_with_sure_loss_reports_the_sure_loss_witness():
     found = 0
     for seed in range(200):

@@ -43,6 +43,17 @@ def test_no_hand_written_value_semantics():
     assert not found, found
 
 
+def test_no_named_tuple_values():
+    # One value idiom: a NamedTuple would also be a tuple, indexable and
+    # unpackable, where every other value is a frozen dataclass.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and any("NamedTuple" in ast.unparse(b) for b in node.bases):
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not found, found
+
+
 PUBLIC_NAMES = """
     Assessment BoundReport ConditionalEvent ConditionalGamble ConditionalImplication
     CredalSet EmptyConditioningError EnumerationLimitError Event ExtensionInterval
