@@ -114,6 +114,8 @@ class GainTerm:
     value: Fraction
 
     def __post_init__(self) -> None:
+        if not isinstance(self.gamble, ConditionalGamble):
+            raise ValidationError("a gain term bets on a ConditionalGamble")
         object.__setattr__(self, "stake", as_fraction(self.stake))
         object.__setattr__(self, "value", as_fraction(self.value))
 
@@ -179,6 +181,8 @@ class Verdict:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "centering", tuple(self.centering))
+        if self.witness is not None and not isinstance(self.witness, GainSpec):
+            raise ValidationError("a witness is a GainSpec")
         if self.consistent and self.witness is not None:
             raise ValidationError("a consistent verdict carries no witness")
         if not self.consistent and self.witness is None:
@@ -322,7 +326,7 @@ def _charged(alpha, rows):
     return sum(1 << w for w in alpha), [sum(a * row[w] for w, a in weights) for row in rows]
 
 
-def _round_search(entries, cls) -> Optional[GainSpec]:
+def _round_search(entries, cls, masks, rows) -> Optional[GainSpec]:
     """Sure loss and dF in one sequence of rounds; W and convex in one
     sequence per entry bet against, over the rows shifted by that entry's
     row for convex. Each settled sequence keeps its first-round masses and
@@ -331,7 +335,6 @@ def _round_search(entries, cls) -> Optional[GainSpec]:
     witness: the cell LP on the stalled entries, solved again on the
     entries it stakes and the entry bet against. W's fallback is this
     search for sure loss, whose witness it returns if there is one."""
-    masks, rows = _rows(entries)
     n = len(rows[0])
     stored = []  # (support, sums, least sum) per first-round alpha
     for j0 in range(len(entries)) if cls in ("W", "convex") else [None]:
@@ -346,7 +349,7 @@ def _round_search(entries, cls) -> Optional[GainSpec]:
             stored.append((support, sums, min(sums)))
             continue
         if cls == "W":
-            sure_loss = _round_search(entries, "asl")
+            sure_loss = _round_search(entries, "asl", masks, rows)
             if sure_loss is not None:
                 return sure_loss
         stakes = _violating_stakes(cls, live, j0, masks, rows)
@@ -357,14 +360,13 @@ def _round_search(entries, cls) -> Optional[GainSpec]:
     return None
 
 
-def _one_convex_search(entries) -> Optional[GainSpec]:
+def _one_convex_search(entries, masks, rows) -> Optional[GainSpec]:
     """Single-pair gains with unit stakes: one bet for, one bet against.
 
     Row i is 0 off B_i, so the pair (i, j) can lose everywhere only if
     row i < 0 on B_i - B_j and row j > 0 on B_j - B_i; two bitmasks rule
     out the other pairs, and the rows are compared on B_i & B_j alone."""
-    masks, rows = _rows(entries)
-    n = entries[0][0].universe.size
+    n = len(rows[0])
     negative = [sum(1 << w for w in range(n) if row[w] < 0) for row in rows]
     positive = [sum(1 << w for w in range(n) if row[w] > 0) for row in rows]
     for j in range(len(entries)):
@@ -410,8 +412,11 @@ def _decide(assessment: Assessment, cls: str) -> Verdict:
     centering: tuple[ConditionalGamble, ...] = ()
     if cls in ("convex", "1convex"):
         entries, centering = _with_centering(entries)
-
-    witness = _one_convex_search(entries) if cls == "1convex" else _round_search(entries, cls)
+    masks, rows = _rows(entries)
+    if cls == "1convex":
+        witness = _one_convex_search(entries, masks, rows)
+    else:
+        witness = _round_search(entries, cls, masks, rows)
 
     if witness is None:
         return Verdict(True, None, centering)

@@ -188,22 +188,14 @@ def nested_conditioning_report(
     if isinstance(a_or_x, Event):
         a = a_or_x
         refinement_applicable = (a & b0 & ~b1).is_empty
+        given_b1 = evaluate(ConditionalEvent(a, b1))
         if refinement_applicable:
-            refinement = _compared(
-                "nested-refinement",
-                evaluate(ConditionalEvent(a, b0)),
-                evaluate(ConditionalEvent(a, b1)),
-                context,
-            )
+            given_b0 = evaluate(ConditionalEvent(a, b0))
+            refinement = _compared("nested-refinement", given_b0, given_b1, context)
         else:
             refinement = _not_applicable("nested-refinement", context)
-        numerator = _compared(
-            "nested-numerator",
-            evaluate(ConditionalEvent(a & b1, b0)),
-            evaluate(ConditionalEvent(a, b1)),
-            context,
-        )
-        return [refinement, numerator]
+        meet = evaluate(ConditionalEvent(a & b1, b0))
+        return [refinement, _compared("nested-numerator", meet, given_b1, context)]
 
     x = a_or_x
     quotient = _not_applicable("restricted-gamble-upper", context)

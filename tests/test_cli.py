@@ -469,6 +469,47 @@ class TestLiteralMemo:
         assert Problem.from_dict(self.doc("-2")).gambles["X"].values == (Fraction(1, 3), -2, 0)
 
 
+# " 1/2", "5e-1", "-3.0", "+2" and "2.0" spell the values "1/2", "-3" and "2"
+# another way. The check fails, so its witness prints every value read.
+CANONICAL = '{"universe": ["a", "b"], "gambles": {"X": {"a": "-3", "b": "2"}}, "assessments": {"x": {"kind": "lower", "class": "W", "entries": [{"event": ["a"], "value": "1/2"}, {"event": ["b"], "value": "1/2"}, {"gamble": "X", "value": "2"}]}}}'
+NON_CANONICAL = '{"universe": ["a", "b"], "gambles": {"X": {"a": "-3.0", "b": "+2"}}, "assessments": {"x": {"kind": "lower", "class": "W", "entries": [{"event": ["a"], "value": " 1/2"}, {"event": ["b"], "value": "5e-1"}, {"gamble": "X", "value": "2.0"}]}}}'
+
+
+class TestCheckBytes:
+    """``check`` prints the same bytes for literals spelled another way, and
+    for a second run in one process, which reads its literals from the
+    memo of ``as_fraction``."""
+
+    @staticmethod
+    def check_json(path, name, capsys):
+        code = main(["check", str(path), name, "--format", "json"])
+        return code, capsys.readouterr().out
+
+    def test_non_canonical_literals_load_like_canonical_ones(self, tmp_path, capsys):
+        outputs = []
+        for text in (CANONICAL, NON_CANONICAL):
+            path = tmp_path / "doc.json"
+            path.write_text(text)
+            outputs.append(self.check_json(path, "x", capsys))
+        assert outputs[0][0] == 1 and outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "text, name", [(None, "overbooked"), (NON_CANONICAL, "x")], ids=["coins", "non-canonical"]
+    )
+    def test_a_second_check_in_one_process_prints_the_same_bytes(
+        self, text, name, tmp_path, monkeypatch, capsys
+    ):
+        path = COINS
+        if text is not None:
+            path = tmp_path / "doc.json"
+            path.write_text(text)
+        # The first run fills an empty memo; the second reads from it.
+        monkeypatch.setattr(gnprob.algebra, "_memo", {})
+        first = self.check_json(path, name, capsys)
+        assert gnprob.algebra._memo
+        assert first[0] == 1 and self.check_json(path, name, capsys) == first
+
+
 class TestGnCommand:
     def test_football_leq(self, capsys):
         code, out, _ = run_cli(["gn", FOOTBALL, "S|F", "S|SB"], capsys)

@@ -114,6 +114,19 @@ class TestGainValidation:
         with pytest.raises(ValidationError):
             GainSpec(terms, against=against)
 
+    def test_gamble_that_is_not_conditional_refused(self):
+        u = make_universe(2)
+        for gamble in (Gamble(u, [1, 0]), "x"):
+            with pytest.raises(ValidationError):
+                GainTerm(1, gamble, 0)
+
+    def test_witness_that_is_not_a_gain_refused(self):
+        u = make_universe(2)
+        term = GainTerm(1, ConditionalGamble(Gamble.indicator(u.event(["w1"])), u.omega), 0)
+        for witness in ("nope", term):
+            with pytest.raises(ValidationError):
+                Verdict(False, witness)
+
     def test_int_stake_becomes_a_fraction(self):
         u = make_universe(2)
         cg = ConditionalGamble(Gamble.indicator(u.event(["w1"])), u.omega)

@@ -214,6 +214,21 @@ class TestNestedConditioning:
             applicable_seen += 1
         assert applicable_seen > 50
 
+    def test_event_reports_evaluate_a_given_b1_once(self):
+        u = make_universe(3)
+        m = random_credal(1, u, 2, max_layers=1)
+        seen = []
+
+        class Counting:
+            def lower(self, obj):
+                seen.append(obj)
+                return m.lower(obj)
+
+        a, b1 = u.event(["w1"]), u.event(["w1", "w2"])
+        reports = nested_conditioning_report(Counting(), a, b1, u.omega)
+        assert reports == nested_conditioning_report(m, a, b1, u.omega)
+        assert reports[0].applicable and len(seen) == 3
+
     def test_gamble_chain(self):
         rng = random.Random(5)
         for seed in range(150):

@@ -15,6 +15,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,11 +34,13 @@ from gnprob import (
     random_credal,
     random_layered,
 )
+from gnprob.cli import load_problem
 from conftest import make_universe, random_conditional_event, random_conditional_gamble
 import oracles
 from oracles import grid_search, oracle_check, oracle_rounds
 
 ROUND_CLASSES = ("asl", "dF", "W", "convex")
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def decide(assessment, cls):
@@ -398,6 +401,26 @@ def test_kept_w_masses_have_least_sum_zero(monkeypatch):
         least.clear()
         assert check(envelope_assessment(seed), "W").consistent, seed
         assert least and set(least) == {0}, seed
+
+
+@pytest.mark.parametrize("cls", ROUND_CLASSES + ("1convex",))
+def test_a_check_builds_its_integer_rows_once(cls, monkeypatch):
+    # The overbooked pair, as a lower assessment, incurs sure loss: its W
+    # check stalls and falls back to the sure-loss search, whose witness
+    # has no bet against and which reuses the rows of the check.
+    calls = []
+    rows = coherence._rows
+
+    def counting(entries):
+        calls.append(entries)
+        return rows(entries)
+
+    monkeypatch.setattr(coherence, "_rows", counting)
+    overbooked = load_problem(str(PROBLEMS / "coins.json")).assessments["overbooked"]
+    verdict = decide(Assessment(overbooked.entries, kind="lower"), cls)
+    assert len(calls) == 1
+    if cls == "W":
+        assert verdict.witness.against is None
 
 
 def test_w_with_sure_loss_reports_the_sure_loss_witness():
