@@ -17,10 +17,13 @@ exactly the coherent full conditional probabilities. Besides its layers
 of ``Fraction`` masses, each measure keeps every layer as integer
 numerators over the lcm of that layer's denominators. The mass of an
 event is then an integer sum over the set bits of its mask, and a
-conditional probability or prevision is built as a single ``Fraction``
-from two integers, equal to the value summed in rationals. A
-:class:`CredalSet` is a finite set of such measures; its pointwise
-minimum and maximum over members provide lower and upper envelopes.
+conditional probability or prevision is a pair of integers, a numerator
+over a positive denominator, from one private kernel per query kind;
+the public evaluators build a single ``Fraction`` from it, equal to the
+value summed in rationals. A :class:`CredalSet` is a finite set of such
+measures; its pointwise minimum and maximum over members provide lower
+and upper envelopes. An envelope compares its members' integer pairs by
+cross-multiplication and builds one ``Fraction``, for the extreme only.
 Both types expose ``lower``/``upper`` evaluators accepting events,
 gambles, conditional events and conditional gambles, which is the
 interface the extension and inequality modules consume.
@@ -222,21 +225,24 @@ class LayeredProbability:
             mask ^= low
         return total
 
-    def probability(self, ce: ConditionalEvent) -> Fraction:
-        """P(A|B) from the first layer giving B positive mass."""
+    def _probability(self, ce: ConditionalEvent) -> tuple[int, int]:
+        """P(A|B) as a (numerator, positive denominator) pair, from the
+        first layer giving B positive mass."""
         if ce.universe != self.universe:
             raise UniverseMismatchError("conditional event on a different universe")
         b = ce.conditioning.mask
         depth = self._charging(b)
-        return Fraction(self._mass(depth, ce.conditioned.mask), self._mass(depth, b))
+        return self._mass(depth, ce.conditioned.mask), self._mass(depth, b)
 
-    def prevision(self, cg: ConditionalGamble) -> Fraction:
-        """P(X|B): expectation of X under the first layer charging B,
-        renormalized on B.
+    def _prevision(self, cg: ConditionalGamble) -> tuple[int, int]:
+        """P(X|B) as a (numerator, positive denominator) pair: the
+        expectation of X under the first layer charging B, renormalized
+        on B.
 
         The payoffs on the charged worlds are scaled to integers by the
         lcm of their denominators (grown as the worlds are visited), so
-        the expectation is one integer dot product and one division."""
+        the expectation is one integer dot product over the mass of B
+        times that positive scale."""
         if cg.universe != self.universe:
             raise UniverseMismatchError("conditional gamble on a different universe")
         b = cg.conditioning.mask
@@ -257,7 +263,15 @@ class LayeredProbability:
                 scale *= step
             total += v.numerator * (scale // v.denominator) * nums[i]
             mass += nums[i]
-        return Fraction(total, mass * scale)
+        return total, mass * scale
+
+    def probability(self, ce: ConditionalEvent) -> Fraction:
+        """P(A|B) from the first layer giving B positive mass."""
+        return Fraction(*self._probability(ce))
+
+    def prevision(self, cg: ConditionalGamble) -> Fraction:
+        """P(X|B) under the first layer charging B, renormalized on B."""
+        return Fraction(*self._prevision(cg))
 
     def value(self, obj: Evaluable) -> Fraction:
         if isinstance(obj, ConditionalEvent):
@@ -282,9 +296,12 @@ class CredalSet:
         members = tuple(members)
         if not members:
             raise ValidationError("a credal set needs at least one member")
-        universe = members[0].universe
         for m in members:
-            if m.universe != universe:
+            if not isinstance(m, LayeredProbability):
+                raise ValidationError(
+                    f"a credal set member is a LayeredProbability, not {type(m).__name__}"
+                )
+            if m.universe != members[0].universe:
                 raise UniverseMismatchError("credal set members on different universes")
         object.__setattr__(self, "members", members)
 
@@ -292,11 +309,28 @@ class CredalSet:
     def universe(self) -> Universe:
         return self.members[0].universe
 
+    def _envelope(self, obj: Evaluable, sign: int) -> Fraction:
+        """The least (``sign`` 1) or greatest (``sign`` -1) member value
+        of ``obj``: members are compared as integer pairs with positive
+        denominators by cross-multiplication, and one Fraction is built."""
+        if isinstance(obj, ConditionalEvent):
+            kernel = LayeredProbability._probability
+        else:
+            kernel = LayeredProbability._prevision
+            obj = _as_conditional_gamble(obj)
+        members = iter(self.members)
+        num, den = kernel(next(members), obj)
+        for m in members:
+            n, d = kernel(m, obj)
+            if sign * (n * den - num * d) < 0:
+                num, den = n, d
+        return Fraction(num, den)
+
     def lower(self, obj: Evaluable) -> Fraction:
-        return min(m.value(obj) for m in self.members)
+        return self._envelope(obj, 1)
 
     def upper(self, obj: Evaluable) -> Fraction:
-        return max(m.value(obj) for m in self.members)
+        return self._envelope(obj, -1)
 
     def __len__(self) -> int:
         return len(self.members)

@@ -190,11 +190,12 @@ def nested_conditioning_report(
         refinement_applicable = (a & b0 & ~b1).is_empty
         given_b1 = evaluate(ConditionalEvent(a, b1))
         if refinement_applicable:
-            given_b0 = evaluate(ConditionalEvent(a, b0))
-            refinement = _compared("nested-refinement", given_b0, given_b1, context)
+            # the worlds of A in B0 lie in B1, so A|B0 is the conditional event (A and B1)|B0
+            meet = evaluate(ConditionalEvent(a, b0))
+            refinement = _compared("nested-refinement", meet, given_b1, context)
         else:
             refinement = _not_applicable("nested-refinement", context)
-        meet = evaluate(ConditionalEvent(a & b1, b0))
+            meet = evaluate(ConditionalEvent(a & b1, b0))
         return [refinement, _compared("nested-numerator", meet, given_b1, context)]
 
     x = a_or_x

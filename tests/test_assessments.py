@@ -115,6 +115,39 @@ class TestCredalSet:
         with pytest.raises(UniverseMismatchError):
             CredalSet([random_layered(0, make_universe(2)), random_layered(0, make_universe(3))])
 
+    @pytest.mark.parametrize("stranger", [Gamble(make_universe(2), [1, 0]), object(), "x", None])
+    def test_members_must_be_layered_probabilities(self, stranger):
+        u = make_universe(2)
+        with pytest.raises(ValidationError, match="credal set member"):
+            CredalSet([stranger])
+        with pytest.raises(ValidationError, match="credal set member"):
+            CredalSet([random_layered(0, u), stranger])
+
+    def test_envelope_builds_one_fraction(self, monkeypatch):
+        # members are compared as integer pairs: only the extreme becomes a Fraction
+        from gnprob import assessments
+
+        u = make_universe(5)
+        credal = random_credal(3, u, 4)
+        queries = [
+            ConditionalGamble(Gamble(u, [1, Fraction(-1, 2), 2, 0, Fraction(3, 7)]), u.event(["w1", "w3", "w4"])),
+            ConditionalEvent(u.event(["w1", "w2"]), u.event(["w2", "w3", "w5"])),
+            u.event(["w4"]),
+        ]
+        expected = [(credal.lower(q), credal.upper(q)) for q in queries]
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(assessments, "Fraction", counting)
+        for q, (low, high) in zip(queries, expected):
+            built.clear()
+            assert credal.lower(q) == low and len(built) == 1
+            built.clear()
+            assert credal.upper(q) == high and len(built) == 1
+
 
 class TestAssessment:
     def test_duplicate_entries_collapse(self):

@@ -227,7 +227,7 @@ class TestNestedConditioning:
         a, b1 = u.event(["w1"]), u.event(["w1", "w2"])
         reports = nested_conditioning_report(Counting(), a, b1, u.omega)
         assert reports == nested_conditioning_report(m, a, b1, u.omega)
-        assert reports[0].applicable and len(seen) == 3
+        assert reports[0].applicable and len(seen) == len(set(seen)) == 2
 
     def test_gamble_chain(self):
         rng = random.Random(5)

@@ -19,6 +19,7 @@ from gnprob import (
     Event,
     Gamble,
     LayeredProbability,
+    UniverseMismatchError,
     ValidationError,
     gn_leq_gambles,
     inf_over,
@@ -129,19 +130,63 @@ class TestEvaluatorsAgainstOracle:
         assert zero_first_layer > 500
 
     def test_credal_envelopes_equal(self):
-        for seed in range(100):
+        seen = Counter()
+        for seed in range(150):
             rng = random.Random(seed)
             u = make_universe(rng.randint(2, 6))
             members = [
                 fractional_layered(rng, u, rng.randint(1, min(3, u.size)))
                 for _ in range(rng.randint(1, 4))
             ]
+            if rng.random() < 0.3:
+                members.append(rng.choice(members))  # a tied member
             credal = CredalSet(members)
+            outside_first = u.omega.mask & ~members[0].support(0).mask
+            if len(members) == 1:
+                seen["one member"] += 1
+            elif len(set(members)) < len(members):
+                seen["tied"] += 1
             for _ in range(8):
-                cg = ConditionalGamble(fractional_gamble(rng, u), Event(u, nonempty_mask(rng, u.omega.mask)))
-                values = [oracle_prevision(m, cg) for m in members]
-                assert credal.lower(cg) == min(values)
-                assert credal.upper(cg) == max(values)
+                if outside_first and rng.random() < 0.5:
+                    b = Event(u, nonempty_mask(rng, outside_first))
+                    seen["zero first-layer mass"] += 1
+                else:
+                    b = Event(u, nonempty_mask(rng, u.omega.mask))
+                a, x = Event(u, rng.getrandbits(u.size)), fractional_gamble(rng, u)
+                cg, ce = ConditionalGamble(x, b), ConditionalEvent(a, b)
+                queries = {
+                    cg: [oracle_prevision(m, cg) for m in members],
+                    ce: [oracle_probability(m, ce) for m in members],
+                    a: [oracle_probability(m, ConditionalEvent(a, u.omega)) for m in members],
+                    x: [oracle_prevision(m, ConditionalGamble(x, u.omega)) for m in members],
+                }
+                for query, values in queries.items():
+                    low, high = credal.lower(query), credal.upper(query)
+                    assert type(low) is Fraction and type(high) is Fraction
+                    assert low == min(values) and high == max(values)
+        assert len(seen) == 3 and min(seen.values()) >= 10, seen
+
+    def test_credal_envelope_refusals_keep_their_text(self):
+        rng = random.Random(3)
+        u, other = make_universe(3), make_universe(4)
+        credal = CredalSet([fractional_layered(rng, u, 2) for _ in range(3)])
+        member = credal.members[0]
+        a, x = Event(other, 0b101), fractional_gamble(rng, other)
+        queries = {
+            ConditionalEvent(a, other.omega): "conditional event",
+            ConditionalGamble(x, a): "conditional gamble",
+            a: "conditional gamble",
+            x: "conditional gamble",
+        }
+        for query, kind in queries.items():
+            with pytest.raises(UniverseMismatchError, match=f"^{kind} on a different universe$"):
+                member.value(query)
+            for envelope in (credal.lower, credal.upper):
+                with pytest.raises(UniverseMismatchError, match=f"^{kind} on a different universe$"):
+                    envelope(query)
+        for envelope in (credal.lower, credal.upper, member.value):
+            with pytest.raises(ValidationError, match="^cannot evaluate object of type int$"):
+                envelope(7)
 
     def test_layers_stay_fractions(self):
         u = make_universe(3)
