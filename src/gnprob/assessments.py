@@ -274,6 +274,8 @@ class LayeredProbability:
         return Fraction(*self._prevision(cg))
 
     def value(self, obj: Evaluable) -> Fraction:
+        if isinstance(obj, Event):
+            obj = ConditionalEvent(obj, obj.universe.omega)
         if isinstance(obj, ConditionalEvent):
             return self.probability(obj)
         return self.prevision(_as_conditional_gamble(obj))
@@ -312,7 +314,10 @@ class CredalSet:
     def _envelope(self, obj: Evaluable, sign: int) -> Fraction:
         """The least (``sign`` 1) or greatest (``sign`` -1) member value
         of ``obj``: members are compared as integer pairs with positive
-        denominators by cross-multiplication, and one Fraction is built."""
+        denominators by cross-multiplication, and one Fraction is built.
+        An event A is queried as A|Ω."""
+        if isinstance(obj, Event):
+            obj = ConditionalEvent(obj, obj.universe.omega)
         if isinstance(obj, ConditionalEvent):
             kernel = LayeredProbability._probability
         else:

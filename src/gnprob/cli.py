@@ -37,17 +37,18 @@ order, each value before its world name. A universe may have at most
 ``MAX_WORLDS`` worlds, and ``sample`` takes 1 to ``MAX_WORLDS`` worlds, 1 to
 ``MAX_MEMBERS`` members and 1 to ``MAX_LAYERS`` layers.
 
-Commands: check, gn, extend, audit, bounds, sample. A command that
-reads a file returns its JSON record, its text lines and whether the
-queried property holds; ``main`` alone loads the file, writes the record
-(``--format json``, every rational as its 'p/q' string) or the lines,
-and chooses the exit status in one place: 0 when the property holds
-(consistent, no violations), 1 when it fails, 2 for usage or input
-errors and 3 for an internal error (a bug: an unexpected exception,
-reported in one line without a traceback). ``sample`` reads no file and
-prints a JSON problem fragment whatever ``--format`` says. ``bounds``
-refuses any flag that its ``--kind`` does not read. Identical inputs
-produce byte-identical output.
+Commands: check, gn, extend, audit, bounds, sample. Each command
+imports its engine when it runs, so a process loads only the modules
+its command uses. A command that reads a file returns its JSON record,
+its text lines and whether the queried property holds; ``main`` alone
+loads the file, writes the record (``--format json``, every rational as
+its 'p/q' string) or the lines, and chooses the exit status in one
+place: 0 when the property holds (consistent, no violations), 1 when it
+fails, 2 for usage or input errors and 3 for an internal error (a bug:
+an unexpected exception, reported in one line without a traceback).
+``sample`` reads no file and prints a JSON problem fragment whatever
+``--format`` says. ``bounds`` refuses any flag that its ``--kind`` does
+not read. Identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -75,19 +76,7 @@ from .assessments import (
     LayeredProbability,
     random_credal,
 )
-from .coherence import GainSpec, check, conditioned_max
 from .errors import GnprobError, ValidationError
-from .extension import extension_interval, natural_extension, upper_extension
-from .gn import gn_compare, gn_compare_gambles
-from .inequalities import (
-    BoundReport,
-    inner_event_lower_bound,
-    finite_values_lower_bound,
-    monotonicity_audit,
-    nested_conditioning_report,
-    product_rule_report,
-    sign_relation,
-)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -322,11 +311,11 @@ def _rational(value) -> str:
     return str(value)
 
 
-def _witness_dict(witness: GainSpec) -> dict:
+def _witness_dict(witness: GainSpec, top: Fraction) -> dict:
     universe = witness.universe
     return {
         "against": witness.against,
-        "conditioned_max": conditioned_max(witness),
+        "conditioned_max": top,
         "conditioning": list(witness.conditioning().worlds()),
         "terms": [
             {
@@ -344,8 +333,8 @@ def _witness_dict(witness: GainSpec) -> dict:
     }
 
 
-def _witness_lines(witness: GainSpec) -> list[str]:
-    lines = [f"witness: conditioned max = {conditioned_max(witness)} on {witness.conditioning()!r}"]
+def _witness_lines(witness: GainSpec, top: Fraction) -> list[str]:
+    lines = [f"witness: conditioned max = {top} on {witness.conditioning()!r}"]
     for k, term in enumerate(witness.terms):
         role = "against" if k == witness.against else "for"
         lines.append(f"  {role:>7} stake={term.stake} value={term.value} on {term.gamble!r}")
@@ -372,6 +361,8 @@ def _report_lines(reports: list[BoundReport]) -> list[str]:
 
 
 def cmd_check(problem: Problem, args):
+    from .coherence import check, conditioned_max
+
     assessment = _named(problem.assessments, args.assessment, "assessment")
     cls = args.cls or assessment.consistency
     if cls is None:
@@ -383,17 +374,21 @@ def cmd_check(problem: Problem, args):
         "assessment": args.assessment,
         "class": cls,
         "consistent": verdict.consistent,
-        "witness": None if verdict.witness is None else _witness_dict(verdict.witness),
+        "witness": None,
         "centering_added": [repr(g) for g in verdict.centering],
     }
     lines = ["consistent" if verdict.consistent else "inconsistent"]
     if verdict.witness is not None:
-        lines += _witness_lines(verdict.witness)
+        top = conditioned_max(verdict.witness)
+        record["witness"] = _witness_dict(verdict.witness, top)
+        lines += _witness_lines(verdict.witness, top)
     lines += [f"note: added centering entry {extra!r} valued 0" for extra in verdict.centering]
     return record, lines, verdict.consistent
 
 
 def cmd_gn(problem: Problem, args):
+    from .gn import gn_compare, gn_compare_gambles
+
     left = problem.parse_conditional(args.left, args.gambles)
     right = problem.parse_conditional(args.right, args.gambles)
     verdict = (gn_compare_gambles if args.gambles else gn_compare)(left, right)
@@ -401,6 +396,8 @@ def cmd_gn(problem: Problem, args):
 
 
 def cmd_extend(problem: Problem, args):
+    from .extension import extension_interval, natural_extension, upper_extension
+
     partition = problem.resolve_partition(args.partition)
     evaluate = getattr(problem.evaluator(args.evaluator), args.side)
     targets = [problem.parse_conditional(t) for t in args.target]
@@ -434,6 +431,8 @@ def cmd_extend(problem: Problem, args):
 
 
 def cmd_audit(problem: Problem, args):
+    from .inequalities import monotonicity_audit
+
     violations = monotonicity_audit(_named(problem.assessments, args.assessment, "assessment"))
     record = {
         "assessment": args.assessment,
@@ -464,6 +463,14 @@ _BOUNDS_READS = {
 
 
 def cmd_bounds(problem: Problem, args):
+    from .inequalities import (
+        finite_values_lower_bound,
+        inner_event_lower_bound,
+        nested_conditioning_report,
+        product_rule_report,
+        sign_relation,
+    )
+
     # the options in the order the parser declares them
     for name in ("evaluator", "event_a", "event_b", "b1", "b0", "gamble", "partition", "truth"):
         if getattr(args, name) is not None and name not in _BOUNDS_READS[args.kind]:

@@ -76,10 +76,12 @@ so the normalization loses no violations. Rounds and gain LPs share one
 integer form of the c_j, scaled by one lcm. A round divides each of its
 constraint rows by that row's own gcd: a positive scaling of a ``<= 0``
 row keeps every pivot and every alpha and keeps the tableau entries
-small. The gain LPs keep the one lcm, because their stake columns sit
-next to an unscaled normalisation row, where a scaling would change the
-LP. The ``1convex`` search needs no LP and scans ordered pairs of
-entries over the same rows.
+small. A gain LP divides each stake column by the gcd g of its entries
+on the union, with 1/g in its place on the normalisation row, and
+returns x = y/g: that positive scaling of a whole column keeps every
+pivot too, so the stakes are those of the lcm form. The ``1convex``
+search needs no LP and scans ordered pairs of entries over the same
+rows.
 
 Entries listed more than once in a gain collapse by summing stakes,
 which leaves the gain unchanged; assessments therefore store each
@@ -248,16 +250,19 @@ def _violating_stakes(cls, chosen, against, masks, rows):
     union = 0
     for k in chosen:
         union |= masks[k]
+    worlds = _world_indices(union, n)
+    # y = g x for the gcd g of each column on the union: every pivot is kept
+    gcds = [gcd(*(col[w] for w in worlds)) or 1 for col in columns]
     constraints = [
-        ([col[w] for col in columns] + [1], "<=", rhs[w]) for w in _world_indices(union, n)
+        ([col[w] // g for col, g in zip(columns, gcds)] + [1], "<=", rhs[w]) for w in worlds
     ]
-    constraints.append(([1] * len(columns) + [0], rel, 1))
+    constraints.append(([Fraction(1, g) for g in gcds] + [0], rel, 1))
     result = solve_lp([0] * len(columns) + [1], constraints)
     if result.status != "optimal":
         raise AssertionError("a gain LP is feasible and bounded")
     if result.objective <= 0:
         return None
-    x, t = result.solution[:-1], len(chosen)
+    x, t = [y / g for y, g in zip(result.solution, gcds)], len(chosen)
     if cls == "dF":
         return [u - v for u, v in zip(x[:t], x[t:])], _ZERO
     if cls == "W":

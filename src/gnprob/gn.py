@@ -152,8 +152,11 @@ def gn_leq_gambles(xb: ConditionalGamble, yd: ConditionalGamble) -> bool:
 
 
 def gn_compare_gambles(xb: ConditionalGamble, yd: ConditionalGamble) -> GnVerdict:
-    """Classify an ordered pair of conditional gambles."""
-    return _verdict(gn_leq_gambles(xb, yd), gn_leq_gambles(yd, xb))
+    """Classify an ordered pair of conditional gambles: both directions
+    read one pair of profiles, at the scale shared by both gambles."""
+    _require_same_universe(xb.conditioning, yd.conditioning)
+    left, right = _profiles((xb, yd))
+    return _verdict(_gn_leq(left, right), _gn_leq(right, left))
 
 
 @dataclass(frozen=True)

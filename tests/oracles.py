@@ -34,7 +34,9 @@ later sequence that they already settle; its rounds divide each row by
 the row's gcd, and its ``1convex`` scan rules out pairs by sign masks.
 ``oracle_check`` decides without any of that: ``oracle_round_search``
 runs every sequence, the sure-loss one first for W, in weighted rounds
-over the lcm rows, and ``oracle_one_convex_search`` compares every
+over the lcm rows, with ``oracle_violating_stakes`` solving each gain LP
+on the lcm rows where the library divides every stake column by its
+gcd, and ``oracle_one_convex_search`` compares every
 ordered pair of rows on their whole conditioning union. Verdicts and
 witnesses must be equal.
 
@@ -279,6 +281,36 @@ def oracle_rows(entries):
     return masks, [[c.numerator * (scale // c.denominator) for c in row] for row in coeffs]
 
 
+def oracle_violating_stakes(cls, chosen, against, masks, rows):
+    """``coherence._violating_stakes`` over the unreduced stake columns,
+    with a unit normalisation row, solved by ``coherence.solve_lp`` as
+    the library's gain LPs are."""
+    n = len(rows[0])
+    columns = [rows[k] for k in chosen]
+    rhs, rel = [0] * n, "<="
+    if cls == "convex":
+        rhs, rel = rows[against], "=="
+    else:
+        against_rows = chosen if cls == "dF" else [against] if cls == "W" else []
+        columns += [[-v for v in rows[k]] for k in against_rows]
+    union = 0
+    for k in chosen:
+        union |= masks[k]
+    constraints = [
+        ([col[w] for col in columns] + [1], "<=", rhs[w]) for w in coherence._world_indices(union, n)
+    ]
+    constraints.append(([1] * len(columns) + [0], rel, 1))
+    result = coherence.solve_lp([0] * len(columns) + [1], constraints)
+    if result.objective <= 0:
+        return None
+    x, t = result.solution[:-1], len(chosen)
+    if cls == "dF":
+        return [u - v for u, v in zip(x[:t], x[t:])], Fraction(0)
+    if cls == "W":
+        return x[:t], x[t]
+    return x, (Fraction(1) if cls == "convex" else Fraction(0))
+
+
 def grid_search(assessment: Assessment, cls: str) -> Optional[GainSpec]:
     """The first violating gain over (subfamily, entry bet against) cells,
     after conjugating an upper assessment and, for convex, centering it:
@@ -293,7 +325,7 @@ def grid_search(assessment: Assessment, cls: str) -> Optional[GainSpec]:
     for subset in range(1, 1 << m):
         chosen = [k for k in range(m) if (subset >> k) & 1]
         for against in chosen if cls in ("W", "convex") else (None,):
-            stakes = coherence._violating_stakes(cls, chosen, against, masks, rows)
+            stakes = oracle_violating_stakes(cls, chosen, against, masks, rows)
             if stakes is not None:
                 return coherence._gain(entries, chosen, against, *stakes)
     return None
@@ -353,9 +385,9 @@ def oracle_round_search(entries, cls) -> Optional[GainSpec]:
         live = oracle_rounds(masks, shifted, n, stage == "dF", j0, weighted=True)
         if live is None:
             continue
-        stakes = coherence._violating_stakes(stage, live, j0, masks, rows)
+        stakes = oracle_violating_stakes(stage, live, j0, masks, rows)
         chosen = [k for k, s in zip(live, stakes[0]) if s or k == j0]
-        stakes = coherence._violating_stakes(stage, chosen, j0, masks, rows)
+        stakes = oracle_violating_stakes(stage, chosen, j0, masks, rows)
         return coherence._gain(entries, chosen, j0, *stakes)
     return None
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gnprob.algebra
+import gnprob.coherence
 from gnprob import GnprobError, ValidationError, cli
 from gnprob.cli import Problem, load_problem, main
 
@@ -43,6 +44,21 @@ class TestCheckCommand:
         assert code == 1
         assert out.startswith("inconsistent")
         assert "stake=" in out and "value=3/5" in out
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_witness_maximum_is_computed_once(self, fmt, monkeypatch, capsys):
+        # The record and the text lines share one conditioned maximum.
+        callers = []
+        conditioned_max = gnprob.coherence.conditioned_max
+
+        def counting(spec):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return conditioned_max(spec)
+
+        monkeypatch.setattr(gnprob.coherence, "conditioned_max", counting)
+        code, _, _ = run_cli(["check", COINS, "overbooked", "--format", fmt], capsys)
+        assert code == 1
+        assert callers.count("gnprob.cli") == 1
 
     def test_unknown_assessment_exit_two(self, capsys):
         code, _, err = run_cli(["check", COINS, "missing"], capsys)
@@ -310,7 +326,7 @@ class TestCheckCommand:
         def broken(*args, **kwargs):
             raise ZeroDivisionError("boom\nsecond line")
 
-        monkeypatch.setattr(cli, "check", broken)
+        monkeypatch.setattr(gnprob.coherence, "check", broken)
         code, out, err = run_cli(["check", COINS, "fair"], capsys)
         assert code == cli.EXIT_INTERNAL == 3
         assert out == ""
@@ -795,6 +811,50 @@ class TestConsoleEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout.strip() == "consistent"
+
+
+class TestStartUp:
+    """A command imports only the modules it runs, in a fresh interpreter."""
+
+    BASE = {"gnprob", "gnprob.algebra", "gnprob.assessments", "gnprob.errors"}
+    # ``python -m gnprob.cli ARGV``, then the package modules loaded
+    # besides ``cli`` itself, which runs as ``__main__``
+    RUN = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('gnprob.cli', run_name='__main__')\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'gnprob')))\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv, engines",
+        [
+            (["gn", FOOTBALL, "S|F", "S|SB"], {"gn"}),
+            (["gn", "--gambles", FOOTBALL, "payout|F", "payout|SB"], {"gn"}),
+            (["check", COINS, "overbooked"], {"coherence", "simplex"}),
+            (["extend", FOOTBALL, "M", "S|F"], {"extension"}),
+            (["audit", COINS, "overbooked"], {"inequalities", "extension", "gn"}),
+            (["bounds", FOOTBALL, "--kind", "sign", "--gamble", "payout", "--b1", "S", "--b0", "SB"],
+             {"inequalities", "extension", "gn"}),
+            (["sample"], set()),
+            (["--help"], set()),
+        ],
+        ids=["gn", "gn-gambles", "check", "extend", "audit", "bounds", "sample", "help"],
+    )
+    def test_command_loads_only_its_engine(self, argv, engines):
+        result = subprocess.run(
+            [sys.executable, "-c", self.RUN, *argv], capture_output=True, text=True
+        )
+        assert "error" not in result.stderr, result.stderr
+        loaded = set(result.stdout.splitlines()[-1].split())
+        assert loaded == self.BASE | {f"gnprob.{name}" for name in engines}
+
+    def test_import_loads_no_submodule(self):
+        code = "import sys, gnprob; print(sorted(m for m in sys.modules if m.startswith('gnprob')))"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.stdout.strip() == "['gnprob']"
 
 
 class TestParserReuse:

@@ -18,15 +18,17 @@ from gnprob import (
     CredalSet,
     Event,
     Gamble,
+    GnVerdict,
     LayeredProbability,
     UniverseMismatchError,
     ValidationError,
+    gn_compare_gambles,
     gn_leq_gambles,
     inf_over,
     monotonicity_audit,
     sup_over,
 )
-from gnprob import coherence, inequalities
+from gnprob import coherence, gn, inequalities
 from gnprob.coherence import _with_centering
 
 from conftest import make_universe, random_gn_above
@@ -175,7 +177,7 @@ class TestEvaluatorsAgainstOracle:
         queries = {
             ConditionalEvent(a, other.omega): "conditional event",
             ConditionalGamble(x, a): "conditional gamble",
-            a: "conditional gamble",
+            a: "conditional event",
             x: "conditional gamble",
         }
         for query, kind in queries.items():
@@ -187,6 +189,27 @@ class TestEvaluatorsAgainstOracle:
         for envelope in (credal.lower, credal.upper, member.value):
             with pytest.raises(ValidationError, match="^cannot evaluate object of type int$"):
                 envelope(7)
+
+    def test_event_query_builds_no_gamble(self, monkeypatch):
+        # An event A is evaluated as A|Omega by the probability kernel, with
+        # no indicator gamble; a query on a plain gamble builds none either.
+        rng = random.Random(16)
+        u = make_universe(16)
+        credal = CredalSet([fractional_layered(rng, u, 2) for _ in range(6)])
+        events = [Event(u, rng.getrandbits(u.size)) for _ in range(20)]
+        gamble = fractional_gamble(rng, u)
+        built = []
+        init = Gamble.__init__
+
+        def counting(self, *args):
+            built.append(None)
+            init(self, *args)
+
+        monkeypatch.setattr(Gamble, "__init__", counting)
+        for a in events:
+            credal.lower(a), credal.upper(a), credal.members[0].value(a)
+        credal.lower(gamble), credal.members[0].value(gamble)
+        assert built == []
 
     def test_layers_stay_fractions(self):
         u = make_universe(3)
@@ -243,7 +266,31 @@ def seeded_gamble_pairs():
             yield relation, yd, xb
 
 
+VERDICTS = {
+    (True, True): GnVerdict.EQUIVALENT,
+    (True, False): GnVerdict.LEQ,
+    (False, True): GnVerdict.GEQ,
+    (False, False): GnVerdict.INCOMPARABLE,
+}
+
+
 class TestGnKernelAgainstOracle:
+    def test_compare_builds_the_profiles_once(self, monkeypatch):
+        calls = []
+        profiles = gn._profiles
+
+        def counting(gambles):
+            calls.append(None)
+            return profiles(gambles)
+
+        monkeypatch.setattr(gn, "_profiles", counting)
+        for _, left, right in seeded_gamble_pairs():
+            calls.clear()
+            verdict = gn_compare_gambles(left, right)
+            assert len(calls) == 1
+            expected = VERDICTS[oracle_gn_leq_gambles(left, right), oracle_gn_leq_gambles(right, left)]
+            assert verdict is expected, (left, right)
+
     def test_seeded_pairs_equal(self):
         seen = {(relation, verdict): 0 for relation in RELATIONS for verdict in (False, True)}
         for relation, left, right in seeded_gamble_pairs():

@@ -433,3 +433,29 @@ def test_w_with_sure_loss_reports_the_sure_loss_witness():
             witness = check(assessment, "W").witness
             assert witness.against is None and witness == asl.witness, seed
     assert found >= 50
+
+
+def bumped_entries(seed, precise, m):
+    """``sixteen_entries`` with about a quarter of the values moved by
+    +-1/k for k in 2..12, so that most checks find a witness through a
+    gain LP whose rows share a large lcm."""
+    rng = random.Random(seed)
+    assessment = sixteen_entries(seed, precise, m)
+    entries = tuple(
+        (g, v + Fraction(rng.choice((-1, 1)), rng.randint(2, 12)) if rng.random() < 0.25 else v)
+        for g, v in assessment.entries
+    )
+    return Assessment(entries, kind=assessment.kind)
+
+
+@pytest.mark.parametrize("m", (16, 64))
+def test_gcd_reduced_gain_lps_keep_every_verdict(m, monkeypatch):
+    # The library divides each stake column of a gain LP by its gcd; the
+    # oracle solves the same LP over the lcm columns. Verdicts, witnesses
+    # and stakes must be equal.
+    cases = [(bumped_entries(seed, precise, m), cls)
+             for seed in range(3) for precise in (False, True) for cls in ROUND_CLASSES + ("1convex",)]
+    reduced = [repr(decide(assessment, cls)) for assessment, cls in cases]
+    monkeypatch.setattr(coherence, "_violating_stakes", oracles.oracle_violating_stakes)
+    assert [repr(decide(assessment, cls)) for assessment, cls in cases] == reduced
+    assert 2 * sum("consistent=False" in verdict for verdict in reduced) >= len(cases)
