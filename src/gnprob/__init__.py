@@ -22,8 +22,8 @@ _EXPORTS = {
         product_partition sup_over""",
     "assessments": """Assessment CredalSet LayeredProbability normalize_class random_credal
         random_layered""",
-    "coherence": """GainSpec GainTerm Verdict asl_monotonicity_counterexample check
-        check_avoiding_sure_loss conditioned_max conjugate evaluate_gain""",
+    "coherence": """GainSpec GainTerm Verdict check check_avoiding_sure_loss conditioned_max
+        conjugate evaluate_gain""",
     "errors": """EmptyConditioningError EnumerationLimitError GnprobError TrivialTargetError
         UniverseMismatchError UnsupportedOperationError ValidationError""",
     "extension": """ExtensionInterval conditional_inner conditional_outer df_to_imprecise

@@ -22,11 +22,12 @@ over a positive denominator, from one private kernel per query kind;
 the public evaluators build a single ``Fraction`` from it, equal to the
 value summed in rationals. A :class:`CredalSet` is a finite set of such
 measures; its pointwise minimum and maximum over members provide lower
-and upper envelopes. An envelope compares its members' integer pairs by
-cross-multiplication and builds one ``Fraction``, for the extreme only.
-Both types expose ``lower``/``upper`` evaluators accepting events,
-gambles, conditional events and conditional gambles, which is the
-interface the extension and inequality modules consume.
+and upper envelopes. One envelope serves both types, a precise measure
+being its own one-member envelope: it compares the members' integer
+pairs by cross-multiplication and builds one ``Fraction``, for the
+extreme only. Both types expose ``lower``/``upper`` evaluators accepting
+events, gambles, conditional events and conditional gambles, which is
+the interface the extension and inequality modules consume.
 
 All three types are frozen dataclasses: immutable values, equal and
 hashed by value. A layered probability compares by its universe and its
@@ -274,11 +275,7 @@ class LayeredProbability:
         return Fraction(*self._prevision(cg))
 
     def value(self, obj: Evaluable) -> Fraction:
-        if isinstance(obj, Event):
-            obj = ConditionalEvent(obj, obj.universe.omega)
-        if isinstance(obj, ConditionalEvent):
-            return self.probability(obj)
-        return self.prevision(_as_conditional_gamble(obj))
+        return _envelope((self,), obj, 1)
 
     # Evaluator protocol: a precise measure is its own envelope.
     lower = value
@@ -286,6 +283,27 @@ class LayeredProbability:
 
     def __repr__(self) -> str:
         return f"LayeredProbability({len(self.layers)} layers on {self.universe.worlds})"
+
+
+def _envelope(members: Sequence[LayeredProbability], obj: Evaluable, sign: int) -> Fraction:
+    """The least (``sign`` 1) or greatest (``sign`` -1) value of ``obj``
+    over nonempty ``members``, an event A queried as A|Ω: the members'
+    integer pairs from the query kind's kernel, each over a positive
+    denominator, are compared by cross-multiplication; one Fraction is built."""
+    if isinstance(obj, Event):
+        obj = ConditionalEvent(obj, obj.universe.omega)
+    if isinstance(obj, ConditionalEvent):
+        kernel = LayeredProbability._probability
+    else:
+        kernel = LayeredProbability._prevision
+        obj = _as_conditional_gamble(obj)
+    members = iter(members)
+    num, den = kernel(next(members), obj)
+    for m in members:
+        n, d = kernel(m, obj)
+        if sign * (n * den - num * d) < 0:
+            num, den = n, d
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -311,31 +329,11 @@ class CredalSet:
     def universe(self) -> Universe:
         return self.members[0].universe
 
-    def _envelope(self, obj: Evaluable, sign: int) -> Fraction:
-        """The least (``sign`` 1) or greatest (``sign`` -1) member value
-        of ``obj``: members are compared as integer pairs with positive
-        denominators by cross-multiplication, and one Fraction is built.
-        An event A is queried as A|Ω."""
-        if isinstance(obj, Event):
-            obj = ConditionalEvent(obj, obj.universe.omega)
-        if isinstance(obj, ConditionalEvent):
-            kernel = LayeredProbability._probability
-        else:
-            kernel = LayeredProbability._prevision
-            obj = _as_conditional_gamble(obj)
-        members = iter(self.members)
-        num, den = kernel(next(members), obj)
-        for m in members:
-            n, d = kernel(m, obj)
-            if sign * (n * den - num * d) < 0:
-                num, den = n, d
-        return Fraction(num, den)
-
     def lower(self, obj: Evaluable) -> Fraction:
-        return self._envelope(obj, 1)
+        return _envelope(self.members, obj, 1)
 
     def upper(self, obj: Evaluable) -> Fraction:
-        return self._envelope(obj, -1)
+        return _envelope(self.members, obj, -1)
 
     def __len__(self) -> int:
         return len(self.members)

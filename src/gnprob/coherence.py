@@ -95,7 +95,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from .algebra import ConditionalEvent, ConditionalGamble, Event, Gamble, Universe
+from .algebra import ConditionalGamble, Event, Gamble
 from .algebra import _require_same_universe, as_fraction
 from .assessments import Assessment, normalize_class
 from .errors import EnumerationLimitError, ValidationError
@@ -234,7 +234,7 @@ def _world_indices(mask: int, n: int):
 
 def _violating_stakes(cls, chosen, against, masks, rows):
     """(stakes in favour of the chosen entries, stake against) of the
-    gain LP on one cell, or None unless its optimal eps is strictly
+    gain LP on one cell, whose optimal eps a stall makes strictly
     positive. Stake columns: free-signed stakes split as +c and -c for
     dF, a stake against the designated entry for W, stakes in favour only
     for asl, all with r = 0; for convex, stakes in favour summing to a
@@ -261,7 +261,7 @@ def _violating_stakes(cls, chosen, against, masks, rows):
     if result.status != "optimal":
         raise AssertionError("a gain LP is feasible and bounded")
     if result.objective <= 0:
-        return None
+        raise AssertionError("a stalled round has a violating gain")
     x, t = [y / g for y, g in zip(result.solution, gcds)], len(chosen)
     if cls == "dF":
         return [u - v for u, v in zip(x[:t], x[t:])], _ZERO
@@ -357,10 +357,8 @@ def _round_search(entries, cls, masks, rows) -> Optional[GainSpec]:
             sure_loss = _round_search(entries, "asl", masks, rows)
             if sure_loss is not None:
                 return sure_loss
-        stakes = _violating_stakes(cls, live, j0, masks, rows)
-        if stakes is None:
-            raise AssertionError("a stalled round has a violating gain")
-        chosen = [k for k, s in zip(live, stakes[0]) if s or k == j0]
+        favour, _ = _violating_stakes(cls, live, j0, masks, rows)
+        chosen = [k for k, s in zip(live, favour) if s or k == j0]
         return _gain(entries, chosen, j0, *_violating_stakes(cls, chosen, j0, masks, rows))
     return None
 
@@ -452,27 +450,3 @@ def check_avoiding_sure_loss(assessment: Assessment) -> Verdict:
     at the stalled round, solved again on the entries it stakes."""
     return _decide(assessment, "asl")
 
-
-def asl_monotonicity_counterexample() -> tuple[Assessment, tuple[ConditionalEvent, ConditionalEvent]]:
-    """A stored unconditional lower probability that avoids sure loss yet
-    values an event above one it implies.
-
-    With E valued 3/4 and the larger F valued 1/2, every gain from bets
-    in favour is nonnegative at the world where both events hold, so no
-    sure loss exists, while monotonicity (hence any of the consistency
-    classes) fails on the pair.
-    """
-    universe = Universe(("u", "v", "w"))
-    e = universe.event(["u"])
-    f = universe.event(["u", "v"])
-    omega = universe.omega
-    assessment = Assessment(
-        (
-            (ConditionalGamble(Gamble.indicator(e), omega), Fraction(3, 4)),
-            (ConditionalGamble(Gamble.indicator(f), omega), Fraction(1, 2)),
-        ),
-        kind="lower",
-        consistency="W",
-    )
-    pair = (ConditionalEvent(e, omega), ConditionalEvent(f, omega))
-    return assessment, pair

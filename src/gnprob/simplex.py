@@ -149,13 +149,10 @@ class _Tableau:
             self.pivot(leave, enter)
 
 
-def solve_lp(
-    objective: Sequence, constraints: Sequence[Constraint], *, maximize: bool = True
-) -> LpResult:
-    """Solve max (or min) objective'x subject to the constraints, x >= 0."""
+def solve_lp(objective: Sequence, constraints: Sequence[Constraint]) -> LpResult:
+    """Solve max objective'x subject to the constraints, x >= 0; a
+    minimum is the negated maximum of the negated objective."""
     cost, cost_scale = _integer_row(objective)
-    if not maximize:
-        cost = [-v for v in cost]
     n = len(cost)
 
     rows = []
@@ -229,5 +226,4 @@ def solve_lp(
     for line, b in zip(tab.rows, tab.basis):
         if b < n:
             solution[b] = Fraction(line[-1], tab.d)
-    value = Fraction(-tab.rows[-1][-1], cost_scale * tab.d)
-    return LpResult("optimal", value if maximize else -value, tuple(solution))
+    return LpResult("optimal", Fraction(-tab.rows[-1][-1], cost_scale * tab.d), tuple(solution))

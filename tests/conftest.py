@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -18,6 +19,9 @@ from gnprob import (
     Partition,
     Universe,
 )
+from gnprob.cli import load_problem
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def make_universe(n: int) -> Universe:
@@ -53,6 +57,18 @@ def football() -> SimpleNamespace:
         credal=CredalSet([m1, m2]),
         sweden_given_final=ConditionalEvent(sweden, final),
     )
+
+
+def asl_not_monotone():
+    """The lower assessment ``asl_not_monotone`` of ``problems/asl.json``
+    and its pair (E|Ω, F|Ω). E is valued 3/4 and the larger F 1/2: every
+    gain from bets in favour is nonnegative where both events hold, so it
+    avoids sure loss, while monotonicity (hence every consistency class)
+    fails on the pair."""
+    problem = load_problem(str(PROBLEMS / "asl.json"))
+    omega = problem.universe.omega
+    pair = tuple(ConditionalEvent(problem.events[name], omega) for name in ("E", "F"))
+    return problem.assessments["asl_not_monotone"], pair
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from gnprob import (
     Gamble,
     LayeredProbability,
     Partition,
-    asl_monotonicity_counterexample,
     check,
     check_avoiding_sure_loss,
     conditional_inner,
@@ -39,6 +38,7 @@ from gnprob import (
 )
 from conftest import (
     all_conditional_events,
+    asl_not_monotone,
     make_universe,
     random_event,
     random_nontrivial_ce,
@@ -418,7 +418,7 @@ def test_criterion_10_checker_soundness():
 
 
 def test_criterion_11_asl_counterexample():
-    assessment, (small, large) = asl_monotonicity_counterexample()
+    assessment, (small, large) = asl_not_monotone()
     values = dict(assessment.entries)
     ok = small.conditioned <= large.conditioned
     ok = ok and values[ConditionalGamble.from_event(small)] > values[ConditionalGamble.from_event(large)]

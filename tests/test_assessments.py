@@ -193,6 +193,14 @@ class TestAssessment:
         assert len(b) == 2 and b.values()[1] == Fraction(1, 4)
         assert b.restricted([1]).values() == (Fraction(1, 4),)
 
+    def test_event_entry_is_its_indicator_given_omega(self):
+        u = make_universe(3)
+        e = u.event(["w1", "w3"])
+        indicator = ConditionalGamble(Gamble.indicator(e), u.omega)
+        a = Assessment(((e, "1/3"),), kind="lower")
+        assert a == Assessment(((indicator, Fraction(1, 3)),), kind="lower")
+        assert a.entries == ((indicator, Fraction(1, 3)),)
+
     def test_necessary_condition_violations(self):
         u = make_universe(2)
         omega = u.omega

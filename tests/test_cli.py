@@ -69,6 +69,22 @@ class TestCheckCommand:
         code, _, _ = run_cli(["check", COINS, "wide", "--class", "W"], capsys)
         assert code == 0
 
+    def test_untagged_assessment_needs_a_class(self, tmp_path, capsys):
+        untagged = tmp_path / "untagged.json"
+        untagged.write_text(
+            json.dumps(
+                {
+                    "universe": ["a", "b"],
+                    "assessments": {
+                        "x": {"kind": "lower", "entries": [{"event": ["a"], "value": "1/2"}]}
+                    },
+                }
+            )
+        )
+        code, out, err = run_cli(["check", str(untagged), "x"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: no consistency class: pass --class or tag the assessment in the file\n"
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(["check", COINS, "overbooked", "--format", "json"], capsys)
         assert code == 1

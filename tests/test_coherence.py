@@ -15,7 +15,6 @@ from gnprob import (
     UniverseMismatchError,
     ValidationError,
     Verdict,
-    asl_monotonicity_counterexample,
     check,
     check_avoiding_sure_loss,
     coherence,
@@ -28,6 +27,7 @@ from gnprob import (
     random_layered,
 )
 from conftest import (
+    asl_not_monotone,
     make_universe,
     random_conditional_event,
     random_nontrivial_ce,
@@ -381,7 +381,7 @@ class TestNecessaryConditions:
 
 class TestAvoidingSureLoss:
     def test_counterexample_triple(self):
-        assessment, (small, large) = asl_monotonicity_counterexample()
+        assessment, (small, large) = asl_not_monotone()
         assert small.conditioned <= large.conditioned
         values = dict(assessment.entries)
         small_value = values[ConditionalGamble.from_event(small)]
@@ -410,7 +410,7 @@ class TestAvoidingSureLoss:
 
     def test_sure_loss_is_not_a_check_class(self):
         # avoiding sure loss has its own entry point, not a class name
-        assessment, _ = asl_monotonicity_counterexample()
+        assessment, _ = asl_not_monotone()
         with pytest.raises(ValidationError):
             check(assessment, "asl")
 

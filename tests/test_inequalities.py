@@ -229,6 +229,30 @@ class TestNestedConditioning:
         assert reports == nested_conditioning_report(m, a, b1, u.omega)
         assert reports[0].applicable and len(seen) == len(set(seen)) == 2
 
+    def test_event_meeting_b0_outside_b1(self):
+        # A holds at w3, in B0 but not in B1: only the numerator report
+        # applies, and it values (A and B1)|B0, here {w1}|Ω.
+        u = make_universe(3)
+        m = LayeredProbability(u, [[Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]])
+        a, b1 = u.event(["w1", "w3"]), u.event(["w1", "w2"])
+        refinement, numerator = nested_conditioning_report(m, a, b1, u.omega)
+        assert refinement.name == "nested-refinement" and not refinement.applicable
+        assert numerator.name == "nested-numerator" and numerator.applicable
+        assert numerator.lhs == m.lower(ConditionalEvent(a & b1, u.omega)) == Fraction(1, 2)
+        assert numerator.rhs == m.lower(ConditionalEvent(a, b1)) == Fraction(3, 5)
+        assert numerator.holds
+
+    def test_gamble_negative_on_b1_has_no_report(self):
+        u = make_universe(3)
+        m = random_credal(1, u, 2, max_layers=1)
+        b1 = u.event(["w1", "w2"])
+        x = Gamble(u, [1, -1, 5])
+        reports = nested_conditioning_report(m, x, b1, u.omega)
+        assert [(r.name, r.applicable) for r in reports] == [
+            ("restricted-gamble-lower", False),
+            ("restricted-gamble-upper", False),
+        ]
+
     def test_gamble_chain(self):
         rng = random.Random(5)
         for seed in range(150):

@@ -14,8 +14,8 @@ equal the library's, which must solve fewer LPs for W and convex.
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +25,6 @@ from gnprob import (
     Assessment,
     ConditionalGamble,
     Gamble,
-    asl_monotonicity_counterexample,
     check,
     check_avoiding_sure_loss,
     coherence,
@@ -35,12 +34,17 @@ from gnprob import (
     random_layered,
 )
 from gnprob.cli import load_problem
-from conftest import make_universe, random_conditional_event, random_conditional_gamble
+from conftest import (
+    PROBLEMS,
+    asl_not_monotone,
+    make_universe,
+    random_conditional_event,
+    random_conditional_gamble,
+)
 import oracles
 from oracles import grid_search, oracle_check, oracle_rounds
 
 ROUND_CLASSES = ("asl", "dF", "W", "convex")
-PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def decide(assessment, cls):
@@ -217,10 +221,34 @@ def test_sixteen_entry_single_sequence_takes_at_most_sixteen_lps(cls, seed, lp_c
     assert decide(base, cls).consistent
 
 
+def test_a_stall_whose_gain_lp_finds_no_violation_fails_loudly(monkeypatch):
+    # A stall is a violating gain, so both gain LPs of a stall, on the live
+    # entries and again on the entries staked, have a positive optimum.
+    # The second one is made to report 0: the check must name the broken
+    # invariant instead of failing while it decodes the stakes.
+    assessment, _ = asl_not_monotone()
+    solve_lp = coherence.solve_lp
+    gain_lps = []
+
+    def second_gain_lp_at_zero(objective, constraints):
+        result = solve_lp(objective, constraints)
+        # a round LP weighs every world by at least 1; a gain LP maximises eps alone
+        if objective[0] == 0:
+            gain_lps.append(result)
+            if len(gain_lps) == 2:
+                return replace(result, objective=Fraction(0))
+        return result
+
+    monkeypatch.setattr(coherence, "solve_lp", second_gain_lp_at_zero)
+    with pytest.raises(AssertionError, match="^a stalled round has a violating gain$"):
+        check(assessment, "W")
+    assert len(gain_lps) == 2
+
+
 def test_stall_with_the_entry_under_test_live_bets_against_it():
     # E is valued 3/4 and the larger F 1/2: no sure loss, so the W check
     # stalls in the sequence for F, and the witness bets against F.
-    assessment, _ = asl_monotonicity_counterexample()
+    assessment, _ = asl_not_monotone()
     assert check_avoiding_sure_loss(assessment).consistent
     verdict = check(assessment, "W")
     assert not verdict.consistent
@@ -281,7 +309,7 @@ def test_each_round_solves_one_lp(monkeypatch):
     assert multi >= 20
     # E valued 3/4 and the larger F 1/2: W's sequence for F stalls in its
     # first round with F live, after one LP.
-    assessment, _ = asl_monotonicity_counterexample()
+    assessment, _ = asl_not_monotone()
     w_for_f = [args for cls, *args in round_inputs(assessment) if cls == "W"][1]
     systems.clear()
     live, _ = coherence._rounds(*w_for_f)

@@ -3,6 +3,7 @@ enumeration and against the Fraction-arithmetic simplex it replaced."""
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -61,9 +62,11 @@ class TestHandInstances:
         assert result.solution == (Fraction(8, 5), Fraction(6, 5))
 
     def test_minimize(self):
-        result = solve_lp([1, 2], [([1, 1], ">=", 2)], maximize=False)
+        # min x + 2y is minus the max of -x - 2y
+        result = solve_lp([-1, -2], [([1, 1], ">=", 2)])
         assert result.status == "optimal"
-        assert result.objective == 2
+        assert result.objective == -2
+        assert result.solution == (Fraction(2), Fraction(0))
 
     def test_equality_constraint(self):
         result = solve_lp([1, 0], [([1, 1], "==", 1)])
@@ -299,10 +302,13 @@ class TestAgainstFractionOracle:
             objective, constraints, maximize = random_fractional_lp(rng)
             kernel.clear()
             oracle.clear()
-            result = solve_lp(objective, constraints, maximize=maximize)
-            assert result == oracle_solve_lp(objective, constraints, maximize=maximize), (
-                objective, constraints, maximize,
-            )
+            # a minimum is the negated maximum of the negated objective
+            sign = 1 if maximize else -1
+            result = solve_lp([sign * v for v in objective], constraints)
+            expected = oracle_solve_lp(objective, constraints, maximize=maximize)
+            if expected.status == "optimal":
+                expected = replace(expected, objective=sign * expected.objective)
+            assert result == expected, (objective, constraints, maximize)
             assert steps(kernel) == steps(oracle), (objective, constraints, maximize)
             assert all(p > 0 for _, _, p in kernel)
             pivots += len(kernel)
@@ -317,12 +323,12 @@ class TestAgainstFractionOracle:
         solved = []
         pivots = 0
 
-        def compared(objective, constraints, **kwargs):
+        def compared(objective, constraints):
             nonlocal pivots
             kernel.clear()
             oracle.clear()
-            result = solve_lp(objective, constraints, **kwargs)
-            assert result == oracle_solve_lp(objective, constraints, **kwargs)
+            result = solve_lp(objective, constraints)
+            assert result == oracle_solve_lp(objective, constraints)
             assert steps(kernel) == steps(oracle)
             assert all(p > 0 for _, _, p in kernel)
             pivots += len(kernel)

@@ -60,7 +60,7 @@ PUBLIC_NAMES = """
     GainSpec GainTerm Gamble GnVerdict GnprobError LayeredProbability LpResult
     MonotonicityViolation Partition SignRelationReport TrivialTargetError Universe
     UniverseMismatchError UnsupportedOperationError ValidationError Verdict
-    algebra as_fraction asl_monotonicity_counterexample assessments ce_and ce_or
+    algebra as_fraction assessments ce_and ce_or
     check check_avoiding_sure_loss coherence conditional_implications
     conditional_inner conditional_outer conditioned_max conjugate df_to_imprecise
     errors evaluate_gain extension extension_interval finite_values_lower_bound

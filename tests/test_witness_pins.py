@@ -18,14 +18,13 @@ import pytest
 from gnprob import (
     Assessment,
     ConditionalGamble,
-    asl_monotonicity_counterexample,
     check_avoiding_sure_loss,
     conditioned_max,
     conjugate,
     random_credal,
 )
 from gnprob.cli import main
-from conftest import make_universe, random_conditional_event
+from conftest import asl_not_monotone, make_universe, random_conditional_event
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "check_witnesses.json").read_text())
@@ -70,7 +69,7 @@ def test_golden_w_witness_without_a_bet_against():
 
 
 def test_asl_counterexample_has_no_witness():
-    assessment, _ = asl_monotonicity_counterexample()
+    assessment, _ = asl_not_monotone()
     verdict = check_avoiding_sure_loss(assessment)
     assert (verdict.consistent, verdict.witness, verdict.centering) == (True, None, ())
 
