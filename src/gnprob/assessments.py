@@ -23,11 +23,13 @@ the public evaluators build a single ``Fraction`` from it, equal to the
 value summed in rationals. A :class:`CredalSet` is a finite set of such
 measures; its pointwise minimum and maximum over members provide lower
 and upper envelopes. One envelope serves both types, a precise measure
-being its own one-member envelope: it compares the members' integer
-pairs by cross-multiplication and builds one ``Fraction``, for the
-extreme only. Both types expose ``lower``/``upper`` evaluators accepting
-events, gambles, conditional events and conditional gambles, which is
-the interface the extension and inequality modules consume.
+being its own one-member envelope: it maps a query to its kind's kernel,
+takes a lone member's public evaluator, and otherwise compares the
+members' integer pairs by cross-multiplication and builds one
+``Fraction``, for the extreme only. Both types expose ``lower``/``upper``
+evaluators accepting events, gambles, conditional events and conditional
+gambles, which is the interface the extension and inequality modules
+consume.
 
 All three types are frozen dataclasses: immutable values, equal and
 hashed by value. A layered probability compares by its universe and its
@@ -287,16 +289,19 @@ class LayeredProbability:
 
 def _envelope(members: Sequence[LayeredProbability], obj: Evaluable, sign: int) -> Fraction:
     """The least (``sign`` 1) or greatest (``sign`` -1) value of ``obj``
-    over nonempty ``members``, an event A queried as A|Ω: the members'
-    integer pairs from the query kind's kernel, each over a positive
-    denominator, are compared by cross-multiplication; one Fraction is built."""
+    over nonempty ``members``, an event A queried as A|Ω. A lone member
+    gives its public evaluator's value. Otherwise the members' integer
+    pairs from the query kind's kernel, each over a positive denominator,
+    are compared by cross-multiplication; one Fraction is built."""
     if isinstance(obj, Event):
         obj = ConditionalEvent(obj, obj.universe.omega)
     if isinstance(obj, ConditionalEvent):
-        kernel = LayeredProbability._probability
+        evaluator, kernel = LayeredProbability.probability, LayeredProbability._probability
     else:
-        kernel = LayeredProbability._prevision
+        evaluator, kernel = LayeredProbability.prevision, LayeredProbability._prevision
         obj = _as_conditional_gamble(obj)
+    if len(members) == 1:
+        return evaluator(members[0], obj)
     members = iter(members)
     num, den = kernel(next(members), obj)
     for m in members:

@@ -211,6 +211,30 @@ class TestEvaluatorsAgainstOracle:
         credal.lower(gamble), credal.members[0].value(gamble)
         assert built == []
 
+    def test_lone_member_takes_its_public_evaluator(self, monkeypatch):
+        # A precise measure's value is one call of probability or prevision,
+        # so a count of those calls sees every value query; a larger
+        # envelope compares its members' kernel pairs and calls neither.
+        rng = random.Random(17)
+        u = make_universe(8)
+        credal = CredalSet([fractional_layered(rng, u, 2) for _ in range(3)])
+        lp = credal.members[0]
+        a, b = Event(u, 0b1011), Event(u, 0b0110)
+        queries = [a, ConditionalEvent(a, b), fractional_gamble(rng, u),
+                   ConditionalGamble(fractional_gamble(rng, u), b)]
+        calls = []
+        for name in ("probability", "prevision"):
+            original = getattr(LayeredProbability, name)
+            monkeypatch.setattr(LayeredProbability, name,
+                                lambda self, q, f=original, n=name: calls.append(n) or f(self, q))
+        values = [(lp.value(q), lp.lower(q), lp.upper(q)) for q in queries]
+        assert calls == ["probability"] * 6 + ["prevision"] * 6
+        assert values == [(lp.value(q),) * 3 for q in queries]
+        calls.clear()
+        for q in queries:
+            credal.lower(q), credal.upper(q)
+        assert calls == []
+
     def test_layers_stay_fractions(self):
         u = make_universe(3)
         lp = LayeredProbability(u, [["1/2", "1/3", "1/6"]])
